@@ -10,7 +10,6 @@ show up as accuracy problems and are counted like any other.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -106,44 +105,18 @@ def same_truth(a, b) -> bool:
     return sa.keys() == sb.keys() and all(np.array_equal(sa[k], sb[k]) for k in sa)
 
 
-@functools.cache
-def _expit_derivative_max(order: int) -> float:
-    """max |d^n/dx^n expit(x)|, from the derivatives as polynomials in s = expit(x)."""
-    poly = np.polynomial.Polynomial([0.0, 1.0])
-    ds = np.polynomial.Polynomial([0.0, 1.0, -1.0])  # ds/dx = s (1 - s)
-    for _ in range(order):
-        poly = poly.deriv() * ds
-    return float(np.max(np.abs(poly(np.linspace(0.0, 1.0, 20001)))))
-
-
-def gauss_hermite_bound(level: int, var: float) -> float:
-    """A-priori error bound of a K-point Gauss-Hermite rule for E[expit(m + sd Z)].
-
-    The remainder of the K-point rule for the integral of exp(-x^2) f(x) is
-    K! sqrt(pi) / (2^K (2K)!) f^(2K)(xi); here f(x) = expit(m + sqrt(2 var) x)
-    and the expectation divides by sqrt(pi).  A rotated tensor grid applied
-    to a function of one linear index has a leading error no larger than
-    this (the index direction's weights v_j^(2K) sum to at most one).
-    """
-    k = level
-    return (math.factorial(k) / (2**k * math.factorial(2 * k)) * (2.0 * var) ** k
-            * _expit_derivative_max(2 * k))
-
-
-def check_marginal(level: int, out, ref: float, tol: float) -> list[tuple[str, str, str]]:
-    """Check one marginal_prob value against its reference and error bound."""
-    if isinstance(out, Exception):
-        return [("integrity", f"marginal_prob K={level}: raised {type(out).__name__}", str(out)[:200])]
-    if not (math.isfinite(out) and 0.0 < out < 1.0):
-        return [("integrity", f"marginal_prob K={level}: value outside (0, 1)", repr(out))]
-    if not abs(out - ref) <= tol:
-        return [("accuracy", f"marginal_prob K={level}: off its reference by more than the "
-                             "Gauss-Hermite bound", f"error {abs(out - ref):.3e} > {tol:.3e}")]
-    return []
+#: Two-sided normal quantile at 1e-4, scipy.stats.norm.ppf(1 - 0.5e-4).
+Z_KNOWN_SD = 3.8905918864131204
+#: Estimands whose MC samples lie in [0, 1] (expit values or Bernoulli
+#: outcomes): a sample's SD is at most 0.5, so the mean of reps independent
+#: reps of n samples each has an SE of at most 0.5 / sqrt(reps n), known in
+#: advance rather than estimated from a handful of reps.
+BOUNDED_ESTIMANDS = ("p0", "p1")
 
 
 def z_bound(reps: int) -> float:
-    """Two-sided Student-t quantile at 1e-4 for reps - 1 degrees of freedom."""
+    """Two-sided Student-t quantile at 1e-4 for reps - 1 degrees of freedom,
+    for estimands whose SE is estimated from the reps."""
     from scipy import stats
     return float(stats.t.ppf(1.0 - 0.5e-4, reps - 1))
 
@@ -162,20 +135,29 @@ def mask_timing(csv_text: str) -> str:
     return "\n".join(out)
 
 
-def _z_problems(cmd: str, name: str, truth: float, mean: float, se: float, zmax: float) -> list:
+def _z_problems(cmd: str, name: str, truth: float, mean: float, se: float, zmax: float,
+                reps: int, samples: int) -> list:
     if not (math.isfinite(mean) and math.isfinite(se)):
         return [("integrity", f"{cmd}: non-finite MC mean", f"{name}: {mean!r}")]
-    # an estimand the MC reproduces exactly in every rep (the identity-link
-    # CDE from shared draws) has a zero SE, so rounding gets the CDE's 1e-10
-    if not abs(truth - mean) <= zmax * se + LINEAR_TOL * max(1.0, abs(truth)):
+    if name in BOUNDED_ESTIMANDS:
+        se, zmax, floor = 0.5 / math.sqrt(reps * samples), Z_KNOWN_SD, 0.0
+    else:
+        # an estimand the MC reproduces exactly in every rep (the identity-link
+        # CDE from shared draws) has a zero SE, so rounding gets the CDE's 1e-10
+        floor = LINEAR_TOL * max(1.0, abs(truth))
+    if not abs(truth - mean) <= zmax * se + floor:
         return [("accuracy", f"{cmd}: MC mean outside the z-bound",
                  f"{name}: |z| = {abs(truth - mean) / se if se else math.inf:.2f} > {zmax:.1f}")]
     return []
 
 
-def check_cli_output(subcommand: str, kind: str, truth: dict, reps: int, code: int,
+def check_cli_output(subcommand: str, kind: str, truth: dict, reps: int, samples: int, code: int,
                      stdout: str, stderr: str, zmax: float) -> list:
-    """Exit code, CSV header and row count, quad_value against the library, MC z-bound."""
+    """Exit code, CSV header and row count, quad_value against the library, MC z-bound.
+
+    ``zmax`` applies to estimands outside BOUNDED_ESTIMANDS, with the SE the CLI
+    reports; p0 and p1 get Z_KNOWN_SD times their SE bound.
+    """
     if code != 0:
         return [("integrity", f"{subcommand}: exit code {code}", stderr.strip()[-200:])]
     rows = stdout.rstrip("\n").split("\n")
@@ -190,12 +172,13 @@ def check_cli_output(subcommand: str, kind: str, truth: dict, reps: int, code: i
                 problems.append(("integrity", "compare: quad_value differs from the library truth",
                                  f"{name}: {quad} vs {truth.get(name)!r}"))
             else:
-                problems += _z_problems("compare", name, truth[name], mean, se, zmax)
+                problems += _z_problems("compare", name, truth[name], mean, se, zmax, reps, samples)
     else:
         if header != MC_HEADER or len(body) != len(MC_ESTIMANDS) * (reps + 1) or any(len(r) != 9 for r in body):
             return [("integrity", "mc: CSV header or row count changed", f"{header!r}, {len(body)} rows")]
         for r in body:
             if r[3] == "summary":
                 mean, sd = float(r[4]), float(r[6])
-                problems += _z_problems("mc", r[2], truth[r[2]], mean, sd / math.sqrt(reps), zmax)
+                problems += _z_problems("mc", r[2], truth[r[2]], mean, sd / math.sqrt(reps), zmax,
+                                        reps, samples)
     return problems

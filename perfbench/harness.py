@@ -6,7 +6,6 @@ loads, so import it before anything that imports NumPy.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import platform
 import resource
@@ -29,13 +28,12 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 CONFIGS = ROOT / "configs"
 WORK = HERE / ".work"
-CACHE = HERE / ".cache"
 RESULTS = HERE / "results"
 
 NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 #: Fresh processes timed per set-up measurement (after one warm-up).
-SETUP_SAMPLES = 7
+SETUP_SAMPLES = 9
 
 
 class MissingProgram(RuntimeError):
@@ -156,38 +154,30 @@ def fresh_process(code: str, *args: str) -> tuple[float, str]:
     return elapsed, line.strip()
 
 
-def setup_seconds(code: str, *args: str) -> tuple[float, list[float], str]:
-    """Median fresh-process set-up time over SETUP_SAMPLES runs after a warm-up."""
-    _, first = fresh_process(code, *args)
-    samples = []
-    for _ in range(SETUP_SAMPLES):
-        elapsed, line = fresh_process(code, *args)
-        if line != first:
-            raise RuntimeError(f"set-up process printed {line!r}, earlier {first!r}")
-        samples.append(elapsed)
-    return statistics.median(samples), samples, first
+class SetupTimer:
+    """Fresh-process set-up time, sampled at points spread over a run.
 
+    A shared machine runs fast and slow for seconds at a time, so samples
+    taken back to back all see one state; spread over the run, their median
+    sees the same mix of states as the timed calls.  A warm-up process fixes
+    the line every sample must print.
+    """
 
-def load_cache(name: str, key: str) -> dict:
-    path = CACHE / f"{name}.json"
-    try:
-        obj = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return {}
-    return obj.get("entries", {}) if obj.get("key") == key else {}
+    def __init__(self, code: str, *args: str):
+        self.argv = (code, *args)
+        _, self.line = fresh_process(*self.argv)
+        self.samples: list[float] = []
 
+    def sample_due(self, busy: float, seconds: float) -> None:
+        """Take the next sample once ``busy`` has reached its share of ``seconds``."""
+        if len(self.samples) < SETUP_SAMPLES and busy >= len(self.samples) * seconds / SETUP_SAMPLES:
+            elapsed, line = fresh_process(*self.argv)
+            if line != self.line:
+                raise RuntimeError(f"set-up process printed {line!r}, earlier {self.line!r}")
+            self.samples.append(elapsed)
 
-def save_cache(name: str, key: str, entries: dict) -> None:
-    CACHE.mkdir(parents=True, exist_ok=True)
-    path = CACHE / f"{name}.json"
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    tmp.write_text(json.dumps({"key": key, "entries": entries}))
-    os.replace(tmp, path)
-
-
-def code_key(*modules) -> str:
-    """Digest of the benchmark modules that produce cached values."""
-    h = hashlib.sha256()
-    for module in modules:
-        h.update(Path(module.__file__).read_bytes())
-    return h.hexdigest()[:16]
+    def median(self) -> float:
+        """Median of SETUP_SAMPLES samples, taking any the run did not reach."""
+        while len(self.samples) < SETUP_SAMPLES:
+            self.sample_due(0.0, 0.0)
+        return statistics.median(self.samples)

@@ -20,10 +20,6 @@ CONFOUNDER_KINDS = ("normal", "uniform", "exponential", "gamma", "mvnormal")
 TRUTH_LEVEL = 20
 HR_T_POINTS = 50
 
-#: (D, K) schedule of one dim_sweep cycle: criterion 10's K = 3 sweep, then
-#: K = 4 up to 4^10 = 1,048,576 points.
-DIM_SCHEDULE = tuple((d, 3) for d in range(2, 11)) + tuple((d, 4) for d in range(2, 11))
-
 #: Monte Carlo size of the derived CLI configs.
 CLI_SAMPLES = 1_000_000
 CLI_REPS = 3
@@ -124,23 +120,6 @@ def truth_scenario(seed: int, index: int) -> dict:
     if family == "rmst":
         return _rmst(rng)
     return _hr(rng)
-
-
-def dim_scenario(seed: int, cycle: int, dim: int, level: int) -> dict:
-    """Correlated-normal confounding of dimension ``dim`` with a seeded covariance.
-
-    The linear index has mean in [-1, 1] and variance in [0.5, 2] so that the
-    marginal probability stays well inside (0, 1) at every D.
-    """
-    rng = _rng(seed, f"dim_sweep-{dim}-{level}", cycle)
-    beta2 = rng.normal(size=dim)
-    cov = _random_cov(rng, dim, 1.0)
-    cov *= rng.uniform(0.5, 2.0) / float(beta2 @ cov @ beta2)
-    mean = rng.uniform(-3, 3, dim)
-    beta0 = float(-(beta2 @ mean) + rng.uniform(-1, 1))
-    return {"kind": "confounding", "beta0": beta0, "beta1": float(rng.uniform(-1, 1)),
-            "beta2": beta2.tolist(),
-            "confounders": {"type": "mvnormal", "mean": mean.tolist(), "cov": cov.tolist()}}
 
 
 def config(scenario: dict, level: int = TRUTH_LEVEL, **method) -> dict:

@@ -5,7 +5,6 @@
 Workloads (see perfbench/README.md for why each was chosen):
 
     truth_sweep   library truth calls at K = 20 on distinct seeded scenarios
-    dim_sweep     marginal_prob on D-dimensional correlated normals, K = 3 and 4
     cli_configs   every shipped config through ``truthquad compare`` / ``mc``
 
 ``--trace 0`` measures the end-to-end metrics with tracing off.
@@ -30,7 +29,7 @@ from perfbench import harness  # noqa: E402  (pins BLAS threads before NumPy loa
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=("truth_sweep", "dim_sweep", "cli_configs"))
+    parser.add_argument("--workload", required=True, choices=("truth_sweep", "cli_configs"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -55,13 +54,9 @@ def main(argv=None) -> int:
     for name, value in result.info.get("workload_metrics", {}).items():
         unit = "1/s" if name.endswith("_per_s") else "ms" if name.endswith("_ms") else "s"
         print(f"workload-metric {name} = {value:.6g} {unit}")
-    for name, value in result.info.get("diagnostics", {}).items():
-        print(f"diagnostic {name} = {value}")
-    if "wall" in result.info:
-        print("wall-clock " + json.dumps(result.info["wall"], sort_keys=True))
     samples = {k: v for k, v in result.info.items()
-               if k in ("calls", "passes", "cycles", "busy_untraced_s", "busy_traced_s",
-                        "spans", "z_bound", "commands_per_pass", "setup_samples")}
+               if k in ("calls", "passes", "busy_untraced_s", "busy_traced_s",
+                        "spans", "z_bound", "z_known_sd", "commands_per_pass", "setup_samples")}
     print("samples " + json.dumps(samples, sort_keys=True))
     fail_frac = tally.failed / tally.attempted if tally.attempted else math.nan
     print(f"fail_frac = {fail_frac:.6g} ({tally.failed}/{tally.attempted} attempts failed)")

@@ -1,7 +1,6 @@
-"""The three workloads, each a closed loop with one caller.
+"""The workloads, each a closed loop with one caller.
 
 truth_sweep   library truth calls at K = 20, each on a distinct seeded scenario
-dim_sweep     marginal_prob over D-dimensional correlated normals, K = 3 and 4
 cli_configs   every shipped config through the CLI, one subprocess per command
 
 Each workload has an untraced run (end-to-end metrics) and a traced run
@@ -14,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
 import os
 import statistics
 import subprocess
@@ -31,12 +29,9 @@ from .harness import Tally
 
 #: truth calls in the traced run's fixed sequence (equal shares per family)
 TRACE_TRUTH_CALLS = 200
-#: dim_sweep cycles in the traced run's fixed sequence
-TRACE_DIM_CYCLES = 6
 #: references are computed this many calls ahead of the timed loop
 CHUNK = 64
-#: cli_configs passes per run at least, so each command's best latency is a
-#: best of three
+#: cli_configs passes per run at least, so that every command is timed three times
 CLI_MIN_PASSES = 3
 
 
@@ -56,35 +51,15 @@ def _timed(fn, *args):
     return out, time.perf_counter() - start
 
 
-def best_latencies(calls: list[tuple[str, float]]) -> list[float]:
-    """Each call's latency charged at the best latency its class reached in the run.
-
-    A class holds calls of the same cost (family and input size, a (D, K)
-    pair, or one CLI command).  Other tenants of a shared machine slow every
-    call for seconds at a time, by up to 60% on a 2-CPU virtual machine; that moves
-    wall-clock medians and tails by 10-20% from run to run, while the best
-    latency of a class over a run moves by a few percent.
-    """
-    best: dict[str, float] = {}
-    for cls, dt in calls:
-        best[cls] = min(dt, best.get(cls, math.inf))
-    return [best[cls] for cls, _ in calls]
-
-
-def _latency_metrics(calls: list[tuple[str, float]], setup: float, rss: float) -> tuple[dict, dict]:
-    """End-to-end metrics (from best latencies) and the same figures on raw wall time."""
-    charged = best_latencies(calls)
-    wall = [dt for _, dt in calls]
-    metrics = {
+def _latency_metrics(times: list[float], setup: float, rss: float) -> dict:
+    """End-to-end metrics from the wall-clock seconds of every call."""
+    return {
         "setup_s": (setup, "s"),
-        "calls_per_s": (len(charged) / sum(charged), "1/s"),
-        "call_p50_ms": (harness.percentile_ms(charged, 50), "ms"),
-        "call_p99_ms": (harness.percentile_ms(charged, 99), "ms"),
+        "calls_per_s": (len(times) / sum(times), "1/s"),
+        "call_p50_ms": (harness.percentile_ms(times, 50), "ms"),
+        "call_p99_ms": (harness.percentile_ms(times, 99), "ms"),
         "peak_rss_mb": (rss, "MB"),
     }
-    raw = {"calls_per_s": len(wall) / sum(wall), "call_p50_ms": harness.percentile_ms(wall, 50),
-           "call_p99_ms": harness.percentile_ms(wall, 99), "busy_s": sum(wall)}
-    return metrics, raw
 
 
 def _setup_check(printed: str, first) -> list:
@@ -112,7 +87,6 @@ print(repr(scenarios.odds_ratio_truth(cfg.scenario, cfg.method.level)["odds_rati
 
 class TruthOp(NamedTuple):
     label: str
-    cost_class: str
     scen: dict
     obj: object
     ref: dict
@@ -133,42 +107,19 @@ def truth_reference(scen: dict) -> dict:
             for k, v in references.hr_effects(scen, t).items()}
 
 
-def _cost_class(scen: dict) -> str:
-    """Family plus the input size that sets a call's cost."""
-    conf = scen.get("confounders")
-    if conf is None:
-        return checks.label(scen)
-    dim = len(conf["mean"]) if isinstance(conf, dict) else len(conf)
-    return f"{checks.label(scen)}/D={dim}"
+def truth_ops(parse, seed: int, start: int, count: int) -> list[TruthOp]:
+    """truth_sweep calls start .. start + count - 1, each with its reference.
 
-
-class TruthOps:
-    """truth_sweep calls built on demand with their references, cached by seed."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.parse = _parse_config()
-        self.key = harness.code_key(references, inputs)
-        self.cache_name = f"truth_sweep-{seed}"
-        self.refs = harness.load_cache(self.cache_name, self.key)
-        self.dirty = False
-
-    def chunk(self, start: int, count: int) -> list[TruthOp]:
-        """Calls start .. start + count - 1, references included."""
-        ops = []
-        for i in range(start, start + count):
-            scen = inputs.truth_scenario(self.seed, i)
-            ref = self.refs.get(str(i))
-            if ref is None:
-                ref = self.refs[str(i)] = truth_reference(scen)
-                self.dirty = True
-            obj = self.parse(inputs.config(scen)).scenario
-            ops.append(TruthOp(f"truth_sweep[{i}] {checks.label(scen)}", _cost_class(scen), scen, obj, ref))
-        return ops
-
-    def save(self) -> None:
-        if self.dirty:
-            harness.save_cache(self.cache_name, self.key, self.refs)
+    References are computed in every run, not cached by seed, so that every
+    run does the same work outside the timed calls and the process's peak
+    memory does not depend on what an earlier run left behind.
+    """
+    ops = []
+    for i in range(start, start + count):
+        scen = inputs.truth_scenario(seed, i)
+        ops.append(TruthOp(f"truth_sweep[{i}] {checks.label(scen)}", scen,
+                           parse(inputs.config(scen)).scenario, truth_reference(scen)))
+    return ops
 
 
 def _truth_call(kind: str, obj, level: int = inputs.TRUTH_LEVEL):
@@ -179,132 +130,33 @@ def _truth_call(kind: str, obj, level: int = inputs.TRUTH_LEVEL):
 
 
 def truth_sweep(seed: int, seconds: float, trace: bool) -> Result:
-    ops = TruthOps(seed)
+    parse = _parse_config()
     if trace:
-        sequence = ops.chunk(0, TRACE_TRUTH_CALLS)
-        ops.save()
+        sequence = truth_ops(parse, seed, 0, TRACE_TRUTH_CALLS)
         return _traced(sequence, lambda op: _truth_call(op.scen["kind"], op.obj),
-                       lambda op, out: checks.check_truth(op.scen, out, op.ref), checks.same_truth)[0]
+                       lambda op, out: checks.check_truth(op.scen, out, op.ref), checks.same_truth)
 
-    setup, samples, printed = harness.setup_seconds(_TRUTH_SETUP, json.dumps(inputs.config(ops.chunk(0, 1)[0].scen)))
+    setup = harness.SetupTimer(_TRUTH_SETUP, json.dumps(inputs.config(inputs.truth_scenario(seed, 0))))
     tally = Tally()
-    calls: list[tuple[str, float]] = []
+    times: list[float] = []
     busy = 0.0
     while busy < seconds:
-        for op in ops.chunk(len(calls), CHUNK):
+        for op in truth_ops(parse, seed, len(times), CHUNK):
+            setup.sample_due(busy, seconds)
             out, dt = _timed(_truth_call, op.scen["kind"], op.obj)
-            calls.append((op.cost_class, dt))
+            times.append(dt)
             busy += dt
-            if len(calls) == 1:
-                tally.record("setup", _setup_check(printed, out if isinstance(out, Exception) else out["odds_ratio"]))
+            if len(times) == 1:
+                tally.record("setup", _setup_check(setup.line, out if isinstance(out, Exception) else out["odds_ratio"]))
             # checked at once, so that outputs do not pile up in the measured process
             tally.record(op.label, checks.check_truth(op.scen, out, op.ref))
             if busy >= seconds:
                 break
-    ops.save()
-    metrics, wall = _latency_metrics(calls, setup, harness.peak_rss_mb())
-    info = {"calls": len(calls), "setup_samples": samples, "wall": wall, "raw": calls,
+    metrics = _latency_metrics(times, setup.median(), harness.peak_rss_mb())
+    info = {"calls": len(times), "setup_samples": setup.samples, "raw": times,
             "workload_metrics": {"truth_per_s": metrics["calls_per_s"][0],
-                            "truth_p50_ms": metrics["call_p50_ms"][0],
-                            "truth_p99_ms": metrics["call_p99_ms"][0]}}
-    return Result(metrics, tally, info)
-
-
-# ---------------------------------------------------------------------------
-# dim_sweep
-# ---------------------------------------------------------------------------
-
-_DIM_SETUP = """
-import json, sys
-from truthquad import config, scenarios
-cfg = config.parse_config(json.loads(sys.argv[1]))
-print(repr(scenarios.marginal_prob(cfg.scenario, int(sys.argv[2]), cfg.method.level)), flush=True)
-"""
-
-
-class DimOp(NamedTuple):
-    label: str
-    dim: int
-    level: int
-    scen: dict
-    obj: object
-    a: int
-    ref: float
-    tol: float
-
-
-def _dim_cycle(parse, seed: int, cycle: int) -> list[DimOp]:
-    ops = []
-    a = cycle % 2
-    for dim, level in inputs.DIM_SCHEDULE:
-        scen = inputs.dim_scenario(seed, cycle, dim, level)
-        beta2 = np.asarray(scen["beta2"])
-        conf = scen["confounders"]
-        mean = scen["beta0"] + scen["beta1"] * a + float(beta2 @ np.asarray(conf["mean"]))
-        var = float(beta2 @ np.asarray(conf["cov"]) @ beta2)
-        ops.append(DimOp(f"dim_sweep[{cycle}] D={dim} K={level}", dim, level, scen,
-                         parse(inputs.config(scen, level)).scenario, a,
-                         references.index_prob(mean, var), 2.0 * checks.gauss_hermite_bound(level, var)))
-    return ops
-
-
-def _dim_call(op: DimOp):
-    return sys.modules["truthquad.scenarios"].marginal_prob(op.obj, op.a, op.level)
-
-
-def dim_slope(times_by_dim: dict[int, list[float]]) -> float:
-    """Criterion 10's fitted slope of log runtime against D over D = 5..10 at K = 3.
-
-    Runtime per D is the best latency seen, as for the end-to-end metrics.
-    """
-    dims = [d for d in range(5, 11) if times_by_dim.get(d)]
-    if len(dims) < 2:
-        return float("nan")
-    return float(np.polyfit(dims, [math.log(min(times_by_dim[d])) for d in dims], 1)[0])
-
-
-def _slope_diagnostics(ops: list[DimOp], times: list[float]) -> dict:
-    by_dim: dict[int, list[float]] = {}
-    for op, dt in zip(ops, times):
-        if op.level == 3:
-            by_dim.setdefault(op.dim, []).append(dt)
-    return {"grids.dim_slope": dim_slope(by_dim),
-            "grids.dim_slope_gate": [0.5 * math.log(3), 1.5 * math.log(3)]}
-
-
-def dim_sweep(seed: int, seconds: float, trace: bool) -> Result:
-    parse = _parse_config()
-    if trace:
-        ops = [op for c in range(TRACE_DIM_CYCLES) for op in _dim_cycle(parse, seed, c)]
-        result, times = _traced(ops, _dim_call, lambda op, out: checks.check_marginal(op.level, out, op.ref, op.tol),
-                                lambda x, y: str(x) == str(y) if isinstance(x, Exception) else x == y)
-        result.info["diagnostics"] = _slope_diagnostics(ops, times)
-        return result
-
-    cycle = _dim_cycle(parse, seed, 0)
-    setup, samples, printed = harness.setup_seconds(
-        _DIM_SETUP, json.dumps(inputs.config(cycle[0].scen, cycle[0].level)), str(cycle[0].a))
-    tally = Tally()
-    ops: list[DimOp] = []
-    calls: list[tuple[str, float]] = []
-    busy = 0.0
-    while busy < seconds:  # whole cycles only, so the (D, K) mix is fixed
-        for op in cycle:
-            out, dt = _timed(_dim_call, op)
-            if not ops:
-                tally.record("setup", _setup_check(printed, out))
-            ops.append(op)
-            calls.append((f"D={op.dim} K={op.level}", dt))
-            busy += dt
-            tally.record(op.label, checks.check_marginal(op.level, out, op.ref, op.tol))
-        cycle = _dim_cycle(parse, seed, len(ops) // len(inputs.DIM_SCHEDULE))
-    metrics, wall = _latency_metrics(calls, setup, harness.peak_rss_mb())
-    points = sum(op.level ** op.dim for op in ops)
-    wall["nd_points_per_s"] = points / busy
-    info = {"calls": len(calls), "cycles": len(ops) // len(inputs.DIM_SCHEDULE), "setup_samples": samples,
-            "wall": wall, "raw": calls,
-            "workload_metrics": {"nd_points_per_s": points / sum(best_latencies(calls))},
-            "diagnostics": _slope_diagnostics(ops, [dt for _, dt in calls])}
+                                 "truth_p50_ms": metrics["call_p50_ms"][0],
+                                 "truth_p99_ms": metrics["call_p99_ms"][0]}}
     return Result(metrics, tally, info)
 
 
@@ -333,8 +185,8 @@ def _interleaved(ops, invoke, tracer: tracing.Tracer) -> tuple[list, list, list[
     return plain, traced, plain_times, traced_times
 
 
-def _traced(ops, invoke, check, same) -> tuple[Result, list[float]]:
-    """Run ``ops`` untraced and traced; per-layer metrics and the untraced call times."""
+def _traced(ops, invoke, check, same) -> Result:
+    """Run ``ops`` untraced and traced; per-layer metrics."""
     tracer = tracing.Tracer()
     untraced, traced, plain_times, traced_times = _interleaved(ops, invoke, tracer)
     tally = Tally()
@@ -348,7 +200,7 @@ def _traced(ops, invoke, check, same) -> tuple[Result, list[float]]:
     layers["trace.overhead_frac"] = sum(traced_times) / sum(plain_times) - 1.0
     info = {"calls": len(ops), "busy_untraced_s": sum(plain_times), "busy_traced_s": sum(traced_times),
             "spans": len(tracer.spans)}
-    return Result(_with_units(layers), tally, info), plain_times
+    return Result(_with_units(layers), tally, info)
 
 
 _CLI_IMPORT = """
@@ -447,7 +299,7 @@ def _cli_commands(seed: int) -> list[Command]:
 
 def _check_command(cmd: Command, code: int, stdout: str, stderr: str, zmax: float) -> list:
     return cmd.truth_problems + checks.check_cli_output(cmd.argv[0], cmd.kind, cmd.truth, inputs.CLI_REPS,
-                                                        code, stdout, stderr, zmax)
+                                                        inputs.CLI_SAMPLES, code, stdout, stderr, zmax)
 
 
 def _run_subprocess(cmd: Command) -> tuple[int, str, str, float, float]:
@@ -488,20 +340,21 @@ def cli_configs(seed: int, seconds: float, trace: bool) -> Result:
     zmax = checks.z_bound(inputs.CLI_REPS)
     if trace:
         result = _traced_cli(commands, zmax)
-        result.info.update(z_bound=zmax, commands_per_pass=len(commands))
+        result.info.update(z_bound=zmax, z_known_sd=checks.Z_KNOWN_SD, commands_per_pass=len(commands))
         return result
 
-    setup, samples, _ = harness.setup_seconds(_CLI_SETUP)
+    setup = harness.SetupTimer(_CLI_SETUP)
     tally = Tally()
-    calls: list[tuple[str, float]] = []
+    times: list[float] = []
     rss: dict[str, list[float]] = {}
     first_pass: list[str] = []
     passes = 0
     busy = 0.0
     while busy < seconds or passes < CLI_MIN_PASSES:  # whole passes only
         for i, cmd in enumerate(commands):
+            setup.sample_due(busy, seconds)
             code, out, err, dt, peak = _run_subprocess(cmd)
-            calls.append((cmd.label, dt))
+            times.append(dt)
             rss.setdefault(cmd.label, []).append(peak)
             busy += dt
             problems = _check_command(cmd, code, out, err, zmax)
@@ -514,11 +367,10 @@ def cli_configs(seed: int, seconds: float, trace: bool) -> Result:
     # a process's peak memory grows when its MC threads happen to overlap, so
     # each command contributes the lowest peak of its passes
     peak_rss = max(min(v) for v in rss.values())
-    metrics, wall = _latency_metrics(calls, setup, peak_rss)
-    wall["cli_pass_s"] = busy / passes
-    info = {"calls": len(calls), "passes": passes, "commands_per_pass": len(commands), "z_bound": zmax,
-            "setup_samples": samples, "wall": wall, "raw": calls,
-            "workload_metrics": {"cli_pass_s": sum(best_latencies(calls)) / passes}}
+    metrics = _latency_metrics(times, setup.median(), peak_rss)
+    info = {"calls": len(times), "passes": passes, "commands_per_pass": len(commands), "z_bound": zmax,
+            "z_known_sd": checks.Z_KNOWN_SD, "setup_samples": setup.samples, "raw": times,
+            "workload_metrics": {"cli_pass_s": busy / passes}}
     return Result(metrics, tally, info)
 
 
@@ -530,6 +382,9 @@ def _traced_cli(commands: list[Command], zmax: float) -> Result:
         code, out, err, _, _ = _run_subprocess(cmd)
         reference.append(checks.mask_timing(out))
         tally.record(cmd.label, _check_command(cmd, code, out, err, zmax))
+    # one untimed command first, so that neither side of the interleaved run
+    # pays for importing truthquad.cli and its dependencies
+    _run_in_process(commands[0])
     tracer = tracing.Tracer()
     plain, traced, plain_times, traced_times = _interleaved(commands, _run_in_process, tracer)
     for cmd, ref, p, t in zip(commands, reference, plain, traced):
@@ -548,4 +403,4 @@ def _traced_cli(commands: list[Command], zmax: float) -> Result:
     return Result(_with_units(layers), tally, info)
 
 
-WORKLOADS = {"truth_sweep": truth_sweep, "dim_sweep": dim_sweep, "cli_configs": cli_configs}
+WORKLOADS = {"truth_sweep": truth_sweep, "cli_configs": cli_configs}
