@@ -4,9 +4,11 @@ A check returns a list of problems, each a (class, cause, detail) triple.
 ``integrity`` problems are a raise, a nonzero exit, a non-finite value, a
 broken identity, or output that differs from the library or between runs;
 ``accuracy`` problems are a value outside its reference tolerance or an MC
-mean outside the z-bound.  Known defects of the program (K = 20 truncation
-for steep logistics and gamma confounders, the HR error at long horizons)
-show up as accuracy problems and are counted like any other.
+mean outside the z-bound.  An integrity problem fails the operation; an
+accuracy problem is a measured error of a returned value.  Known defects of
+the program (K = 20 truncation for steep logistics and gamma confounders,
+the HR error at long horizons) show up as accuracy problems, are counted in
+every run and are never filtered out.
 """
 from __future__ import annotations
 

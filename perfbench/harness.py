@@ -6,6 +6,7 @@ loads, so import it before anything that imports NumPy.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import platform
 import resource
@@ -103,32 +104,42 @@ def environment(seed: int) -> dict:
 
 @dataclass
 class Tally:
-    """Attempts and failures.  A failure is any problem found in one attempt.
+    """Attempts, failed operations and values off their reference.
 
     Problems are classed as ``integrity`` (a raise, a nonzero exit, a
     non-finite value, a broken identity, output that differs from the
     library or between runs) or ``accuracy`` (a value outside its reference
-    tolerance, an MC mean outside the z-bound).  Both count as failures;
-    only integrity problems make the run incorrect.
+    tolerance, an MC mean outside the z-bound).  An integrity problem fails
+    the operation and makes the run incorrect.  An accuracy problem is a
+    measured error of a value the operation did return: it is counted in
+    ``off_reference``, and ``flagged`` counts attempts with a problem of
+    either class, the numerator of ``fail_frac``.
     """
 
     attempted: int = 0
     failed: int = 0
-    integrity_ok: bool = True
+    off_reference: int = 0
+    flagged: int = 0
     causes: Counter = field(default_factory=Counter)
     records: list = field(default_factory=list)
 
     def record(self, label: str, problems: list[tuple[str, str, str]]) -> None:
         """``problems`` holds (class, cause, detail) triples for one attempt."""
         self.attempted += 1
-        if not problems:
-            return
-        self.failed += 1
+        classes = {klass for klass, _, _ in problems}
+        self.failed += "integrity" in classes
+        self.off_reference += "accuracy" in classes
+        self.flagged += bool(problems)
         for klass, cause, detail in problems:
             self.causes[f"{klass}: {cause}"] += 1
-            if klass == "integrity":
-                self.integrity_ok = False
             self.records.append({"op": label, "class": klass, "cause": cause, "detail": detail})
+
+    @property
+    def correct(self) -> bool:
+        return self.failed == 0
+
+    def share(self, count: int) -> float:
+        return count / self.attempted if self.attempted else math.nan
 
 
 def percentile_ms(seconds: list[float], q: float) -> float:

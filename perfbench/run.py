@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -58,8 +57,10 @@ def main(argv=None) -> int:
                if k in ("calls", "passes", "busy_untraced_s", "busy_traced_s",
                         "spans", "z_bound", "z_known_sd", "commands_per_pass", "setup_samples")}
     print("samples " + json.dumps(samples, sort_keys=True))
-    fail_frac = tally.failed / tally.attempted if tally.attempted else math.nan
-    print(f"fail_frac = {fail_frac:.6g} ({tally.failed}/{tally.attempted} attempts failed)")
+    fail_frac = tally.share(tally.flagged)
+    print(f"failed = {tally.failed}/{tally.attempted} operations (integrity problems)")
+    print(f"off_reference = {tally.off_reference}/{tally.attempted} attempts (accuracy problems)")
+    print(f"fail_frac = {fail_frac:.6g} ({tally.flagged}/{tally.attempted} attempts with a problem)")
     for cause, count in tally.causes.most_common():
         print(f"failure-cause {count} x {cause}")
 
@@ -68,12 +69,12 @@ def main(argv=None) -> int:
               "trace": args.trace, "env": env,
               "metrics": {k: {"value": v, "unit": u} for k, (v, u) in result.metrics.items()},
               "info": result.info, "attempted": tally.attempted, "failed": tally.failed,
-              "fail_frac": fail_frac, "correct": tally.integrity_ok,
+              "off_reference": tally.off_reference, "fail_frac": fail_frac, "correct": tally.correct,
               "failure_causes": dict(tally.causes), "failures": tally.records}
     out = harness.RESULTS / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     out.write_text(json.dumps(record, indent=1, default=float) + "\n")
 
-    print(json.dumps({"correct": tally.integrity_ok, "attempted": tally.attempted,
+    print(json.dumps({"correct": tally.correct, "attempted": tally.attempted,
                       "failed": tally.failed,
                       "metrics": {k: {"value": v, "unit": u} for k, (v, u) in result.metrics.items()}}))
     return 0

@@ -197,6 +197,7 @@ def _traced(ops, invoke, check, same) -> Result:
         tally.record(op.label, problems)
     layers = tracing.layer_metrics(tracer)
     layers.update(_cli_layer(0))
+    layers["check.off_reference_frac"] = tally.share(tally.off_reference)
     layers["trace.overhead_frac"] = sum(traced_times) / sum(plain_times) - 1.0
     info = {"calls": len(ops), "busy_untraced_s": sum(plain_times), "busy_traced_s": sum(traced_times),
             "spans": len(tracer.spans)}
@@ -382,6 +383,7 @@ def _traced_cli(commands: list[Command], zmax: float) -> Result:
         code, out, err, _, _ = _run_subprocess(cmd)
         reference.append(checks.mask_timing(out))
         tally.record(cmd.label, _check_command(cmd, code, out, err, zmax))
+    off_reference_frac = tally.share(tally.off_reference)
     # one untimed command first, so that neither side of the interleaved run
     # pays for importing truthquad.cli and its dependencies
     _run_in_process(commands[0])
@@ -397,6 +399,7 @@ def _traced_cli(commands: list[Command], zmax: float) -> Result:
     busy_traced = sum(traced_times)
     layers = tracing.layer_metrics(tracer)
     layers.update(_cli_layer(sum(len(t[1].encode()) for t in traced)))
+    layers["check.off_reference_frac"] = off_reference_frac
     layers["trace.overhead_frac"] = busy_traced / busy_plain - 1.0
     info = {"calls": len(commands), "busy_untraced_s": busy_plain, "busy_traced_s": busy_traced,
             "spans": len(tracer.spans)}
