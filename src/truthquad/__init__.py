@@ -34,9 +34,9 @@ from .mc import (
     MCSummary,
     compare,
     mc_cde,
+    mc_confounding,
     mc_hr_counterfactual,
     mc_hr_mediation,
-    mc_integration,
     mc_marginal_prob,
     mc_odds_ratio,
     mc_rmst_mediation,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import MVNormal, Normal, dist_from_json
+from .distributions import MVNormal, Normal, dist_from_json, json_list, json_number
 from .errors import ValidationError
 from .grids import Decomposition
 from .scenarios import (
@@ -36,17 +36,6 @@ class MethodSpec:
     seed: int | None = None
     hr_t_subset: int = 5
 
-    def require_mc(self) -> tuple[int, int, int]:
-        missing = [name for name, v in (("n_samples", self.n_samples),
-                                        ("n_reps", self.n_reps),
-                                        ("seed", self.seed)) if v is None]
-        if missing:
-            raise ValidationError(
-                f"method block is missing {', '.join(missing)}: Monte Carlo runs must be fully "
-                "specified (no silent nondeterminism)"
-            )
-        return self.n_samples, self.n_reps, self.seed
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -67,6 +56,23 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
         raise ValidationError(f"{path}.{sorted(missing)[0]}: missing required field")
 
 
+def _number(obj: dict, key: str, path: str, default: float) -> float:
+    return json_number(obj[key], f"{path}.{key}") if key in obj else default
+
+
+def _integer(obj: dict, key: str, path: str, default: int | None,
+             minimum: int | None = None) -> int | None:
+    """A JSON integer (not a bool) of at least ``minimum``, or ``default`` when absent."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}.{key}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{path}.{key}: must be >= {minimum}, got {value}")
+    return value
+
+
 def _parse_confounding(obj: dict, path: str) -> ConfoundingScenario:
     _check_keys(obj, {"kind", "beta0", "beta1", "beta2", "confounders"},
                 {"beta0", "beta1", "beta2", "confounders"}, path)
@@ -80,8 +86,9 @@ def _parse_confounding(obj: dict, path: str) -> ConfoundingScenario:
                             for i, c in enumerate(conf))
     else:
         raise ValidationError(f"{path}.confounders: expected an object or a list of objects")
-    return ConfoundingScenario(beta0=float(obj["beta0"]), beta1=float(obj["beta1"]),
-                               beta2=np.asarray(obj["beta2"], dtype=float),
+    return ConfoundingScenario(beta0=json_number(obj["beta0"], f"{path}.beta0"),
+                               beta1=json_number(obj["beta1"], f"{path}.beta1"),
+                               beta2=np.asarray(json_list(obj["beta2"], f"{path}.beta2")),
                                confounders=confounders)
 
 
@@ -89,7 +96,7 @@ def _parse_normal_block(obj: dict, path: str, default: Normal) -> Normal:
     if obj is None:
         return default
     _check_keys(obj, {"mu", "sigma2"}, set(), path)
-    return Normal(float(obj.get("mu", default.mu)), float(obj.get("sigma2", default.sigma2)))
+    return Normal(_number(obj, "mu", path, default.mu), _number(obj, "sigma2", path, default.sigma2))
 
 
 def _parse_cde(obj: dict, path: str) -> CDEScenario:
@@ -100,18 +107,19 @@ def _parse_cde(obj: dict, path: str) -> CDEScenario:
         l_model = defaults.l_model
     else:
         _check_keys(l_obj, {"intercept", "a_coef", "u_coef", "sigma2"}, set(), f"{path}.l")
+        l_path = f"{path}.l"
         l_model = LModel(
-            intercept=float(l_obj.get("intercept", 15.0)),
-            a_coef=float(l_obj.get("a_coef", 1.0)),
-            u_coef=float(l_obj.get("u_coef", 0.1)),
-            sigma2=float(l_obj.get("sigma2", 1.0)),
+            intercept=_number(l_obj, "intercept", l_path, 15.0),
+            a_coef=_number(l_obj, "a_coef", l_path, 1.0),
+            u_coef=_number(l_obj, "u_coef", l_path, 0.1),
+            sigma2=_number(l_obj, "sigma2", l_path, 1.0),
         )
     return CDEScenario(
         link=obj.get("link", defaults.link),
-        beta=tuple(float(b) for b in obj["beta"]),
-        a=int(obj.get("a", defaults.a)),
-        a_star=int(obj.get("a_star", defaults.a_star)),
-        m=float(obj.get("m", defaults.m)),
+        beta=tuple(json_list(obj["beta"], f"{path}.beta")),
+        a=_integer(obj, "a", path, defaults.a),
+        a_star=_integer(obj, "a_star", path, defaults.a_star),
+        m=_number(obj, "m", path, defaults.m),
         c_dist=_parse_normal_block(obj.get("c"), f"{path}.c", defaults.c_dist),
         u_dist=_parse_normal_block(obj.get("u"), f"{path}.u", defaults.u_dist),
         l_model=l_model,
@@ -122,12 +130,12 @@ def _parse_rmst(obj: dict, path: str) -> RMSTScenario:
     _check_keys(obj, {"kind", "mu0", "mu1", "beta0", "beta_a", "beta_m", "tau"}, set(), path)
     d = RMSTScenario()
     return RMSTScenario(
-        mu0=float(obj.get("mu0", d.mu0)),
-        mu1=float(obj.get("mu1", d.mu1)),
-        beta0=float(obj.get("beta0", d.beta0)),
-        beta_a=float(obj.get("beta_a", d.beta_a)),
-        beta_m=float(obj.get("beta_m", d.beta_m)),
-        tau=float(obj.get("tau", d.tau)),
+        mu0=_number(obj, "mu0", path, d.mu0),
+        mu1=_number(obj, "mu1", path, d.mu1),
+        beta0=_number(obj, "beta0", path, d.beta0),
+        beta_a=_number(obj, "beta_a", path, d.beta_a),
+        beta_m=_number(obj, "beta_m", path, d.beta_m),
+        tau=_number(obj, "tau", path, d.tau),
     )
 
 
@@ -139,17 +147,20 @@ def _parse_hr(obj: dict, path: str) -> HRScenario:
     if t_obj is None:
         t_grid = d.t_grid
     elif isinstance(t_obj, dict):
-        _check_keys(t_obj, {"start", "stop", "num"}, {"start", "stop", "num"}, f"{path}.t_grid")
-        t_grid = np.linspace(float(t_obj["start"]), float(t_obj["stop"]), int(t_obj["num"]))
+        t_path = f"{path}.t_grid"
+        _check_keys(t_obj, {"start", "stop", "num"}, {"start", "stop", "num"}, t_path)
+        t_grid = np.linspace(json_number(t_obj["start"], f"{t_path}.start"),
+                             json_number(t_obj["stop"], f"{t_path}.stop"),
+                             _integer(t_obj, "num", t_path, None, minimum=1))
     else:
-        t_grid = np.asarray(t_obj, dtype=float)
+        t_grid = np.asarray(json_list(t_obj, f"{path}.t_grid"))
     return HRScenario(
-        alpha0=float(obj.get("alpha0", d.alpha0)),
-        alpha_a=float(obj.get("alpha_a", d.alpha_a)),
-        gamma=float(obj.get("gamma", d.gamma)),
-        lam=float(obj.get("lambda", d.lam)),
-        beta_a=float(obj.get("beta_a", d.beta_a)),
-        beta_m=float(obj.get("beta_m", d.beta_m)),
+        alpha0=_number(obj, "alpha0", path, d.alpha0),
+        alpha_a=_number(obj, "alpha_a", path, d.alpha_a),
+        gamma=_number(obj, "gamma", path, d.gamma),
+        lam=_number(obj, "lambda", path, d.lam),
+        beta_a=_number(obj, "beta_a", path, d.beta_a),
+        beta_m=_number(obj, "beta_m", path, d.beta_m),
         t_grid=t_grid,
     )
 
@@ -165,7 +176,7 @@ _PARSERS = {
 def parse_config(obj: dict) -> ScenarioConfig:
     _check_keys(obj, {"schema_version", "id", "scenario", "method"},
                 {"schema_version", "id", "scenario"}, "config")
-    if obj["schema_version"] != SCHEMA_VERSION:
+    if isinstance(obj["schema_version"], bool) or obj["schema_version"] != SCHEMA_VERSION:
         raise ValidationError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {obj['schema_version']!r}"
         )
@@ -186,13 +197,15 @@ def parse_config(obj: dict) -> ScenarioConfig:
         decomposition = Decomposition(method_obj.get("decomposition", "spectral"))
     except ValueError as exc:
         raise ValidationError(f"config.method.decomposition: {exc}") from None
+    # a null Monte Carlo field counts as unset; the mc and compare commands report it
+    mc_fields = {key: _integer(method_obj, key, "config.method", None, minimum)
+                 for key, minimum in (("n_samples", 1), ("n_reps", 1), ("seed", 0))
+                 if method_obj.get(key) is not None}
     method = MethodSpec(
-        level=int(method_obj.get("level", 20)),
+        level=_integer(method_obj, "level", "config.method", 20, minimum=1),
         decomposition=decomposition,
-        n_samples=None if method_obj.get("n_samples") is None else int(method_obj["n_samples"]),
-        n_reps=None if method_obj.get("n_reps") is None else int(method_obj["n_reps"]),
-        seed=None if method_obj.get("seed") is None else int(method_obj["seed"]),
-        hr_t_subset=int(method_obj.get("hr_t_subset", 5)),
+        hr_t_subset=_integer(method_obj, "hr_t_subset", "config.method", 5, minimum=1),
+        **mc_fields,
     )
     return ScenarioConfig(config_id=str(obj["id"]), kind=kind, scenario=scenario, method=method)
 

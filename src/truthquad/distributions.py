@@ -8,6 +8,7 @@ triple always produces the same values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -224,6 +225,20 @@ def dist_to_json(dist: Dist) -> dict:
     raise ValidationError(f"unsupported distribution {dist!r}")
 
 
+def json_number(value, path: str) -> float:
+    """A finite JSON number as a float; a bool, string, null, list or non-finite value names its path."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def json_list(value, path: str, item=json_number) -> list:
+    """A JSON list whose entries ``item`` parses, each checked under its own path."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a list, got {value!r}")
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def dist_from_json(obj: dict, path: str = "distribution") -> Dist:
     """Parse a tagged distribution object, rejecting unknown fields."""
     if not isinstance(obj, dict) or "type" not in obj:
@@ -244,12 +259,16 @@ def dist_from_json(obj: dict, path: str = "distribution") -> Dist:
     missing = schemas[kind] - set(obj)
     if missing:
         raise ValidationError(f"{path}: missing field {sorted(missing)[0]!r}")
+    def num(key: str) -> float:
+        return json_number(obj[key], f"{path}.{key}")
+
     if kind == "normal":
-        return Normal(float(obj["mu"]), float(obj["sigma2"]))
+        return Normal(num("mu"), num("sigma2"))
     if kind == "uniform":
-        return Uniform(float(obj["a"]), float(obj["b"]))
+        return Uniform(num("a"), num("b"))
     if kind == "exponential":
-        return Exponential(float(obj["rate"]))
+        return Exponential(num("rate"))
     if kind == "gamma":
-        return Gamma(float(obj["shape"]), float(obj["rate"]))
-    return MVNormal.of(obj["mean"], obj["cov"])
+        return Gamma(num("shape"), num("rate"))
+    return MVNormal.of(json_list(obj["mean"], f"{path}.mean"),
+                       json_list(obj["cov"], f"{path}.cov", json_list))

@@ -5,7 +5,9 @@ independent PCG64 stream seeded with ``seed_base + r``, so a summary is a pure
 function of (scenario, config) and is reproducible across worker counts.
 Within one repetition both treatment arms share the same confounder draws
 (and, for potential-outcome simulation, the same uniforms behind the Bernoulli
-draws), which is what keeps the arm contrast tight.
+draws), which is what keeps the arm contrast tight.  For the confounding
+scenario one pass (``mc_confounding``) serves both arms and the odds ratio, so
+each repetition's confounders are drawn once.
 
 Prediction intervals are empirical 2.5/97.5 percentiles of the per-rep
 estimates by default; ``interval="normal"`` switches to mean +/- 1.96 sd.
@@ -120,64 +122,57 @@ def _run_reps(rep_fn: Callable[[np.random.Generator], Mapping[str, float]],
 # Confounding scenario
 # ---------------------------------------------------------------------------
 
-def potential_outcome_sim(scenario: ConfoundingScenario, a: int, cfg: MCConfig,
-                          jobs: int = 1, interval: str = "empirical") -> MCSummary:
-    """Simulate Bernoulli potential outcomes and average them, per repetition.
+def mc_confounding(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1,
+                   interval: str = "empirical", simulate: bool = False) -> dict[str, MCSummary]:
+    """P(Y^0=1), P(Y^1=1) and their plug-in odds ratio from one pass of draws.
 
-    The confounder and uniform draws depend only on the repetition seed, so
-    both treatment arms condition on identical draws.
+    Per repetition the confounders are drawn once and serve both arms and the
+    odds ratio.  By default (MC integration) each arm averages the outcome
+    probability, with within-rep SE std / sqrt(N); ``simulate=True`` instead
+    averages Bernoulli potential outcomes drawn from one shared set of
+    uniforms, with the Bernoulli within-rep SE.  Keys: p0, p1, odds_ratio.
     """
+    n = cfg.n_samples
+
     def rep(rng: np.random.Generator) -> dict[str, float]:
-        c = scenario.draw_confounders(rng, cfg.n_samples)
-        u = rng.random(cfg.n_samples)
-        p_hat = float((u < scenario.prob(a, c)).mean())
-        return {"estimate": p_hat,
-                "within_se": np.sqrt(p_hat * (1.0 - p_hat) / cfg.n_samples)}
+        c = scenario.draw_confounders(rng, n)
+        u = rng.random(n) if simulate else None
+        out = {}
+        for a in (0, 1):
+            values = scenario.prob(a, c)
+            p = out[f"p{a}"] = float(((u < values) if simulate else values).mean())
+            out[f"p{a}_se"] = (np.sqrt(p * (1.0 - p) / n) if simulate
+                               else float(values.std(ddof=1) / np.sqrt(n)))
+        out["odds_ratio"] = _odds_ratio(out["p1"], out["p0"])
+        return out
 
     cols, seconds = _run_reps(rep, cfg, jobs)
-    return _summarize(f"p{a}", cols["estimate"], seconds, cfg,
-                      within=cols["within_se"], interval=interval)
+    return {k: _summarize(k, cols[k], seconds, cfg, within=cols.get(f"{k}_se"), interval=interval)
+            for k in ("p0", "p1", "odds_ratio")}
+
+
+def potential_outcome_sim(scenario: ConfoundingScenario, a: int, cfg: MCConfig,
+                          jobs: int = 1, interval: str = "empirical") -> MCSummary:
+    """Simulated Bernoulli potential outcomes under arm ``a``, averaged per repetition."""
+    return mc_confounding(scenario, cfg, jobs, interval, simulate=True)[f"p{a}"]
 
 
 def po_odds_ratio(scenario: ConfoundingScenario, cfg: MCConfig,
                   jobs: int = 1, interval: str = "empirical") -> MCSummary:
     """Plug-in odds ratio from potential-outcome simulation (shared draws per rep)."""
-    def rep(rng: np.random.Generator) -> dict[str, float]:
-        c = scenario.draw_confounders(rng, cfg.n_samples)
-        u = rng.random(cfg.n_samples)
-        p1 = float((u < scenario.prob(1, c)).mean())
-        p0 = float((u < scenario.prob(0, c)).mean())
-        return {"estimate": _odds_ratio(p1, p0)}
-
-    cols, seconds = _run_reps(rep, cfg, jobs)
-    return _summarize("odds_ratio", cols["estimate"], seconds, cfg, interval=interval)
+    return mc_confounding(scenario, cfg, jobs, interval, simulate=True)["odds_ratio"]
 
 
 def mc_marginal_prob(scenario: ConfoundingScenario, a: int, cfg: MCConfig,
                      jobs: int = 1, interval: str = "empirical") -> MCSummary:
-    """MC integration of the marginal probability: average the expected outcome."""
-    def rep(rng: np.random.Generator) -> dict[str, float]:
-        c = scenario.draw_confounders(rng, cfg.n_samples)
-        values = scenario.prob(a, c)
-        return {"estimate": float(values.mean()),
-                "within_se": float(values.std(ddof=1) / np.sqrt(cfg.n_samples))}
-
-    cols, seconds = _run_reps(rep, cfg, jobs)
-    return _summarize(f"p{a}", cols["estimate"], seconds, cfg,
-                      within=cols["within_se"], interval=interval)
+    """MC integration of the marginal probability under arm ``a``."""
+    return mc_confounding(scenario, cfg, jobs, interval)[f"p{a}"]
 
 
 def mc_odds_ratio(scenario: ConfoundingScenario, cfg: MCConfig,
                   jobs: int = 1, interval: str = "empirical") -> MCSummary:
     """Plug-in odds ratio from MC integration; arms share confounder draws."""
-    def rep(rng: np.random.Generator) -> dict[str, float]:
-        c = scenario.draw_confounders(rng, cfg.n_samples)
-        p1 = float(scenario.prob(1, c).mean())
-        p0 = float(scenario.prob(0, c).mean())
-        return {"estimate": _odds_ratio(p1, p0)}
-
-    cols, seconds = _run_reps(rep, cfg, jobs)
-    return _summarize("odds_ratio", cols["estimate"], seconds, cfg, interval=interval)
+    return mc_confounding(scenario, cfg, jobs, interval)["odds_ratio"]
 
 
 # ---------------------------------------------------------------------------
@@ -286,37 +281,8 @@ def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
 
 
 # ---------------------------------------------------------------------------
-# Generic dispatch and comparison
+# Comparison
 # ---------------------------------------------------------------------------
-
-def mc_integration(scenario, target, cfg: MCConfig, jobs: int = 1,
-                   interval: str = "empirical") -> MCSummary:
-    """MC integration of one estimand component.
-
-    Target forms: confounding -> 0/1 (arm) or "odds_ratio"; CDE -> "mean_a",
-    "mean_a_star" or "cde"; RMST -> ("mu", a, a_star) or "TE"/"NDE"/"NIE";
-    HR -> ("density"|"survival", a, a_prime, t).
-    """
-    if isinstance(scenario, ConfoundingScenario):
-        if target in (0, 1):
-            return mc_marginal_prob(scenario, target, cfg, jobs, interval)
-        if target == "odds_ratio":
-            return mc_odds_ratio(scenario, cfg, jobs, interval)
-    elif isinstance(scenario, CDEScenario):
-        if target in ("mean_a", "mean_a_star", "cde"):
-            return mc_cde(scenario, cfg, jobs, interval)[target]
-    elif isinstance(scenario, RMSTScenario):
-        if isinstance(target, tuple) and len(target) == 3 and target[0] == "mu":
-            key = f"mu{target[1]}{target[2]}"
-            return mc_rmst_mediation(scenario, cfg, jobs, interval)[key]
-        if target in ("TE", "NDE", "NIE", "mu11", "mu00", "mu10"):
-            return mc_rmst_mediation(scenario, cfg, jobs, interval)[target]
-    elif isinstance(scenario, HRScenario):
-        if isinstance(target, tuple) and len(target) == 4:
-            which, a, a_prime, t = target
-            return mc_hr_counterfactual(scenario, which, a, a_prime, t, cfg, jobs, interval)
-    raise ValidationError(f"unsupported target {target!r} for {type(scenario).__name__}")
-
 
 @dataclass(frozen=True)
 class Comparison:

@@ -140,16 +140,40 @@ class TestTruthCommand:
         assert len(series_rows) == 12  # 3 effects x 4 time points
 
 
+CONFOUNDING = {"kind": "confounding", "beta0": 1.0, "beta1": 1.0, "beta2": [-1.0],
+               "confounders": [{"type": "normal", "mu": 0.0, "sigma2": 1.0}]}
+
+
 class TestConfigValidation:
-    def test_unknown_field_reports_path(self, tmp_path):
+    @pytest.mark.parametrize("scenario,method,path", [
+        ({"kind": "rmst", "betaX": 1.0}, {}, "config.scenario.betaX"),
+        ({"kind": "cde", "beta": 5}, {}, "config.scenario.beta"),
+        ({"kind": "cde", "beta": [1, 2, 3, 4, 5, None]}, {}, "config.scenario.beta[5]"),
+        ({"kind": "rmst"}, {"level": None}, "config.method.level"),
+        ({"kind": "rmst"}, {"level": 20.9}, "config.method.level"),
+        ({"kind": "rmst"}, {"level": True}, "config.method.level"),
+        ({"kind": "rmst"}, {"n_samples": "10"}, "config.method.n_samples"),
+        ({"kind": "rmst"}, {"hr_t_subset": 0}, "config.method.hr_t_subset"),
+        ({**CONFOUNDING, "beta0": float("nan")}, {}, "config.scenario.beta0"),
+        ({**CONFOUNDING, "beta2": [float("inf")]}, {}, "config.scenario.beta2[0]"),
+        ({**CONFOUNDING, "confounders": [{"type": "normal", "mu": "0", "sigma2": 1.0}]}, {},
+         "config.scenario.confounders[0].mu"),
+        ({"kind": "rmst", "tau": 10**400}, {}, "config.scenario.tau"),
+        ({"kind": "hr", "t_grid": {"start": 0.5, "stop": 2.0, "num": 0}}, {},
+         "config.scenario.t_grid.num"),
+    ], ids=["unknown-field", "beta-not-a-list", "beta-null-entry", "level-null", "level-float",
+            "level-bool", "n_samples-string", "hr_t_subset-zero", "beta0-nan", "beta2-inf",
+            "mu-string", "tau-overflow", "t_grid-num-zero"])
+    def test_unknown_field_reports_path(self, tmp_path, scenario, method, path):
         config = write_config(tmp_path, {
             "schema_version": 1,
             "id": "bad",
-            "scenario": {"kind": "rmst", "betaX": 1.0},
+            "scenario": scenario,
+            "method": method,
         })
-        result = run("truth", "--config", config)
-        assert result.exit_code == 2
-        assert "config.scenario.betaX" in result.output
+        result = run("compare" if method else "truth", "--config", config)
+        assert result.exit_code == 2, result.output
+        assert path in result.output
 
     def test_unknown_scenario_kind(self, tmp_path):
         config = write_config(tmp_path, {
@@ -210,6 +234,23 @@ class TestMCCommand:
         })
         result = run("mc", "--config", config, "--method", "potential_outcome_sim")
         assert result.exit_code == 2
+
+
+class TestConfoundingPasses:
+    @pytest.mark.parametrize("argv", [["compare"], ["mc", "--method", "potential_outcome_sim"],
+                                      ["mc", "--method", "mc_integration"]])
+    def test_one_repetition_pass_per_command(self, tmp_path, monkeypatch, argv):
+        import truthquad.mc as mc_mod
+
+        obj = json.loads((CONFIG_DIR / "confounding_normal.json").read_text())
+        obj["method"].update(n_samples=500, n_reps=3)
+        config = write_config(tmp_path, obj)
+        calls = []
+        real = mc_mod._run_reps
+        monkeypatch.setattr(mc_mod, "_run_reps", lambda *a, **k: calls.append(1) or real(*a, **k))
+        result = run(*argv, "--config", config)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
 
 class TestCompareCommand:

@@ -15,9 +15,9 @@ from truthquad import (
     compare,
     counterfactual_density,
     mc_cde,
+    mc_confounding,
     mc_hr_counterfactual,
     mc_hr_mediation,
-    mc_integration,
     mc_marginal_prob,
     mc_odds_ratio,
     mc_rmst_mediation,
@@ -64,6 +64,36 @@ class TestPotentialOutcomeSim:
         summary = potential_outcome_sim(normal_scenario(), 1, CFG)
         lo, hi = summary.interval
         assert lo <= summary.mean <= hi
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize("simulate", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_hand_recomputation(self, simulate, jobs):
+        scenario = normal_scenario()
+        cfg = MCConfig(n_samples=2000, n_reps=4, seed_base=77)
+        summaries = mc_confounding(scenario, cfg, jobs=jobs, simulate=simulate)
+        assert list(summaries) == ["p0", "p1", "odds_ratio"]
+        for r in range(cfg.n_reps):
+            rng = np.random.default_rng(cfg.seed_base + r)
+            c = rng.normal(0.0, 1.0, cfg.n_samples)
+            u = rng.random(cfg.n_samples)
+            probs = [1.0 / (1.0 + np.exp(-(1.0 + a - c))) for a in (0, 1)]
+            p0, p1 = ((u < q).mean() if simulate else q.mean() for q in probs)
+            np.testing.assert_allclose(summaries["p0"].estimates[r], p0, rtol=1e-13)
+            np.testing.assert_allclose(summaries["p1"].estimates[r], p1, rtol=1e-13)
+            np.testing.assert_allclose(summaries["odds_ratio"].estimates[r],
+                                       (p1 / (1 - p1)) / (p0 / (1 - p0)), rtol=1e-12)
+
+    def test_per_arm_views_are_the_shared_pass(self):
+        for simulate, arm, ratio in ((False, mc_marginal_prob, mc_odds_ratio),
+                                     (True, potential_outcome_sim, po_odds_ratio)):
+            shared = mc_confounding(normal_scenario(), CFG, simulate=simulate)
+            assert arm(normal_scenario(), 0, CFG).same_estimates(shared["p0"])
+            assert arm(normal_scenario(), 1, CFG).same_estimates(shared["p1"])
+            assert ratio(normal_scenario(), CFG).same_estimates(shared["odds_ratio"])
+            np.testing.assert_array_equal(arm(normal_scenario(), 1, CFG).within_rep_se,
+                                          shared["p1"].within_rep_se)
 
 
 class TestVarianceOrdering:
@@ -143,14 +173,6 @@ class TestMCIntegration:
         for t in (1.0, 2.0):
             prod = per_t[("NDE", t)].estimates * per_t[("NIE", t)].estimates
             np.testing.assert_allclose(per_t[("TE", t)].estimates, prod, rtol=1e-12)
-
-    def test_dispatch_forms(self):
-        assert mc_integration(normal_scenario(), 1, CFG).estimand == "p1"
-        assert mc_integration(RMSTScenario(), ("mu", 1, 0), MCConfig(100, 5, 1)).estimand == "mu10"
-        assert mc_integration(HRScenario(), ("survival", 1, 1, 2.0),
-                              MCConfig(100, 5, 1)).estimand == "survival(2.0;a=1,a'=1)"
-        with pytest.raises(ValidationError, match="unsupported target"):
-            mc_integration(normal_scenario(), "nonsense", CFG)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
