@@ -1,10 +1,11 @@
 """Special functions and the exact odds-ratio component formulas.
 
-Holds a numerically stable logistic, the real dilogarithm Li2 (with the
-inversion identity for arguments below -1), the order-5 polylogarithm Li5 on
-(-1, 1), the Riemann zeta value at 5, and the closed-form marginal
-probabilities of the three non-Gaussian confounder cases (uniform,
-exponential, gamma).  Everything here is pure and safe for concurrent use.
+Holds the logistic (scipy's ``expit``, re-exported), the real dilogarithm
+Li2 (with the inversion identity for arguments below -1), the order-5
+polylogarithm Li5 on (-1, 1), the Riemann zeta value at 5, and the
+closed-form marginal probabilities of the three non-Gaussian confounder
+cases (uniform, exponential, gamma).  Everything here is pure and safe for
+concurrent use.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import math
 from enum import Enum
 
 import numpy as np
+from scipy.special import expit  # noqa: F401  (re-exported)
 
 from .errors import ValidationError
 
@@ -22,23 +24,6 @@ ZETA5 = 1.0369277551433699
 
 _SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 200
-
-
-def expit(x):
-    """Logistic function 1 / (1 + exp(-x)), overflow-free for |x| up to ~1e3.
-
-    Accepts scalars or arrays.  Satisfies expit(x) + expit(-x) == 1 to within
-    machine precision.
-    """
-    arr = np.asarray(x, dtype=float)
-    out = np.empty_like(arr)
-    pos = arr >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _dilog_series(z: float) -> float:
