@@ -226,8 +226,9 @@ def dist_to_json(dist: Dist) -> dict:
 
 
 def json_number(value, path: str) -> float:
-    """A finite JSON number as a float; a bool, string, null, list or non-finite value names its path."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    """A finite JSON number as a float; anything else is rejected under its path."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # also false for NaN
         raise ValidationError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
@@ -259,6 +260,7 @@ def dist_from_json(obj: dict, path: str = "distribution") -> Dist:
     missing = schemas[kind] - set(obj)
     if missing:
         raise ValidationError(f"{path}: missing field {sorted(missing)[0]!r}")
+
     def num(key: str) -> float:
         return json_number(obj[key], f"{path}.{key}")
 

@@ -140,7 +140,8 @@ def mc_confounding(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1,
         out = {}
         for a in (0, 1):
             values = scenario.prob(a, c)
-            p = out[f"p{a}"] = float(((u < values) if simulate else values).mean())
+            p = float(((u < values) if simulate else values).mean())
+            out[f"p{a}"] = p
             out[f"p{a}_se"] = (np.sqrt(p * (1.0 - p) / n) if simulate
                                else float(values.std(ddof=1) / np.sqrt(n)))
         out["odds_ratio"] = _odds_ratio(out["p1"], out["p0"])
