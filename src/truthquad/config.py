@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import MVNormal, Normal, dist_from_json, json_list, json_number
+from .distributions import MVNormal, Normal, _json_list, _json_number, dist_from_json
 from .errors import ValidationError
 from .grids import Decomposition
 from .scenarios import (
@@ -57,7 +57,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
 
 
 def _number(obj: dict, key: str, path: str, default: float) -> float:
-    return json_number(obj[key], f"{path}.{key}") if key in obj else default
+    return _json_number(obj[key], f"{path}.{key}") if key in obj else default
 
 
 def _integer(obj: dict, key: str, path: str, default: int | None,
@@ -86,9 +86,9 @@ def _parse_confounding(obj: dict, path: str) -> ConfoundingScenario:
                             for i, c in enumerate(conf))
     else:
         raise ValidationError(f"{path}.confounders: expected an object or a list of objects")
-    return ConfoundingScenario(beta0=json_number(obj["beta0"], f"{path}.beta0"),
-                               beta1=json_number(obj["beta1"], f"{path}.beta1"),
-                               beta2=np.asarray(json_list(obj["beta2"], f"{path}.beta2")),
+    return ConfoundingScenario(beta0=_json_number(obj["beta0"], f"{path}.beta0"),
+                               beta1=_json_number(obj["beta1"], f"{path}.beta1"),
+                               beta2=np.asarray(_json_list(obj["beta2"], f"{path}.beta2")),
                                confounders=confounders)
 
 
@@ -116,7 +116,7 @@ def _parse_cde(obj: dict, path: str) -> CDEScenario:
         )
     return CDEScenario(
         link=obj.get("link", defaults.link),
-        beta=tuple(json_list(obj["beta"], f"{path}.beta")),
+        beta=tuple(_json_list(obj["beta"], f"{path}.beta")),
         a=_integer(obj, "a", path, defaults.a),
         a_star=_integer(obj, "a_star", path, defaults.a_star),
         m=_number(obj, "m", path, defaults.m),
@@ -149,11 +149,11 @@ def _parse_hr(obj: dict, path: str) -> HRScenario:
     elif isinstance(t_obj, dict):
         t_path = f"{path}.t_grid"
         _check_keys(t_obj, {"start", "stop", "num"}, {"start", "stop", "num"}, t_path)
-        t_grid = np.linspace(json_number(t_obj["start"], f"{t_path}.start"),
-                             json_number(t_obj["stop"], f"{t_path}.stop"),
+        t_grid = np.linspace(_json_number(t_obj["start"], f"{t_path}.start"),
+                             _json_number(t_obj["stop"], f"{t_path}.stop"),
                              _integer(t_obj, "num", t_path, None, minimum=1))
     else:
-        t_grid = np.asarray(json_list(t_obj, f"{path}.t_grid"))
+        t_grid = np.asarray(_json_list(t_obj, f"{path}.t_grid"))
     return HRScenario(
         alpha0=_number(obj, "alpha0", path, d.alpha0),
         alpha_a=_number(obj, "alpha_a", path, d.alpha_a),

@@ -225,7 +225,7 @@ def dist_to_json(dist: Dist) -> dict:
     raise ValidationError(f"unsupported distribution {dist!r}")
 
 
-def json_number(value, path: str) -> float:
+def _json_number(value, path: str) -> float:
     """A finite JSON number as a float; anything else is rejected under its path."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max):  # also false for NaN
@@ -233,7 +233,7 @@ def json_number(value, path: str) -> float:
     return float(value)
 
 
-def json_list(value, path: str, item=json_number) -> list:
+def _json_list(value, path: str, item=_json_number) -> list:
     """A JSON list whose entries ``item`` parses, each checked under its own path."""
     if not isinstance(value, list):
         raise ValidationError(f"{path}: expected a list, got {value!r}")
@@ -262,7 +262,7 @@ def dist_from_json(obj: dict, path: str = "distribution") -> Dist:
         raise ValidationError(f"{path}: missing field {sorted(missing)[0]!r}")
 
     def num(key: str) -> float:
-        return json_number(obj[key], f"{path}.{key}")
+        return _json_number(obj[key], f"{path}.{key}")
 
     if kind == "normal":
         return Normal(num("mu"), num("sigma2"))
@@ -272,5 +272,5 @@ def dist_from_json(obj: dict, path: str = "distribution") -> Dist:
         return Exponential(num("rate"))
     if kind == "gamma":
         return Gamma(num("shape"), num("rate"))
-    return MVNormal.of(json_list(obj["mean"], f"{path}.mean"),
-                       json_list(obj["cov"], f"{path}.cov", json_list))
+    return MVNormal.of(_json_list(obj["mean"], f"{path}.mean"),
+                       _json_list(obj["cov"], f"{path}.cov", _json_list))
