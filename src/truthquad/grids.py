@@ -15,6 +15,9 @@ with a = (sqrt(1+rho) + sqrt(1-rho))/2 and b = (sqrt(1+rho) - sqrt(1-rho))/2.
 Cholesky and spectral both reproduce the target mean and covariance exactly
 for K >= 2; the "none" variant keeps only the marginal variances and is the
 inefficient baseline of correlated settings.
+
+``integrate_nd`` calls its integrand once on the (n, D) point array; a callable
+that takes one length-D vector is evaluated point by point, with a RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteEvaluationError, PointBudgetError, ValidationError
-from .rules import Rule1D, compute_rule, hermite_kind
+from .errors import PointBudgetError, ValidationError
+from .rules import Rule1D, _weighted_sum, compute_rule, hermite_kind
 
 DEFAULT_POINT_BUDGET = 10_000_000
 
@@ -168,28 +171,6 @@ def rotate_grid(grid: GridND, cov: CovSpec, decomposition: Decomposition) -> Gri
                   decomposition=decomposition, cov=cov)
 
 
-def _evaluate_nd(f: Callable, points: np.ndarray) -> np.ndarray:
-    try:
-        values = np.asarray(f(points), dtype=float)
-        if values.shape == (points.shape[0],):
-            return values
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.array([float(f(p)) for p in points])
-
-
 def integrate_nd(grid: GridND, f: Callable) -> float:
-    """Return sum_p w_p f(point_p).
-
-    ``f`` may take the full (n, D) point array or a single length-D vector.
-    Summation is a single deterministic dot product, so results do not depend
-    on any internal partitioning.
-    """
-    values = _evaluate_nd(f, grid.points)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteEvaluationError(
-            f"integrand returned {values[i]!r} at point {grid.points[i].tolist()}"
-        )
-    return float(grid.weights @ values)
+    """Return sum_p w_p f(point_p) as one deterministic dot product."""
+    return _weighted_sum(grid.weights, grid.points, f)

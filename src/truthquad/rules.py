@@ -23,6 +23,10 @@ the construction path.
 Raw rules carry the kernel's own weight mass (e.g. sqrt(pi) for hermite).
 ``rescale_rule`` turns a raw rule into a normalized rule targeting E[f(X)]
 for X from the matching distribution family; normalized weights sum to one.
+
+Integrands are called once on the whole (n,) node array and return n values.
+A callable that only takes scalars is evaluated point by point, with a
+RuntimeWarning.  A NaN or infinite value raises NonFiniteEvaluationError.
 """
 from __future__ import annotations
 
@@ -227,33 +231,34 @@ def rescale_rule(rule: Rule1D, dist) -> Rule1D:
                   weights=norm.weights, normalized=True)
 
 
-def _evaluate(f: Callable, points: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` at ``points``, accepting vectorized or scalar callables."""
+def _weighted_sum(weights: np.ndarray, points: np.ndarray, f: Callable) -> float:
+    """Return sum_i w_i f(p_i): the one place an integrand is evaluated and reduced.
+
+    ``f`` is called once on the (n,) node or (n, D) point array.  If that call
+    raises TypeError, ValueError or IndexError, or returns a shape other than
+    (n,), ``f`` is called point by point instead, with a RuntimeWarning.
+    """
+    n = points.shape[0]
     try:
         values = np.asarray(f(points), dtype=float)
-        if values.shape == points.shape[:1] or values.shape == points.shape:
-            return values.reshape(points.shape[0] if points.ndim > 1 else -1)
-    except (TypeError, ValueError):
-        pass
-    if points.ndim == 1:
-        return np.array([float(f(x)) for x in points])
-    return np.array([float(f(p)) for p in points])
+        reason = None if values.shape == (n,) else f"returned shape {values.shape}, not ({n},)"
+    except (TypeError, ValueError, IndexError) as exc:
+        reason = repr(exc)
+    if reason is not None:
+        # stacklevel 3 points at the caller of integrate_1d / integrate_nd
+        warnings.warn(f"integrand is not vectorized ({reason}); evaluating it point by point",
+                      RuntimeWarning, stacklevel=3)
+        values = np.array([float(f(p)) for p in points])
+    if not np.isfinite(values).all():
+        i = int(np.argmax(~np.isfinite(values)))
+        raise NonFiniteEvaluationError(
+            f"integrand returned {float(values[i])} at node index {i}, at point {points[i].tolist()}"
+        )
+    return float(weights @ values)
 
 
 def integrate_1d(rule: Rule1D, f: Callable[[float], float]) -> float:
-    """Return sum_i w_i f(x_i) for a normalized rule.
-
-    ``f`` may be vectorized over a node array or accept scalars.  A NaN or
-    infinite value at any node raises :class:`NonFiniteEvaluationError`
-    identifying the node.
-    """
+    """Return sum_i w_i f(x_i) for a normalized rule (see ``_weighted_sum`` for ``f``)."""
     if not rule.normalized:
         raise ValidationError("integrate_1d requires a normalized rule; call .normalize() or rescale_rule")
-    values = _evaluate(f, rule.nodes)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteEvaluationError(
-            f"integrand returned {values[i]!r} at node index {i} (x = {rule.nodes[i]!r})"
-        )
-    return float(rule.weights @ values)
+    return _weighted_sum(rule.weights, rule.nodes, f)

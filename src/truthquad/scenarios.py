@@ -138,9 +138,6 @@ def marginal_prob(scenario: ConfoundingScenario, a: int, level: int,
     if isinstance(scenario.confounders, MVNormal):
         grid = rule_for(scenario.confounders, level, decomposition)
         return integrate_nd(grid, lambda pts: scenario.prob(a, pts))
-    if scenario.dim == 1:
-        rule = rule_for(scenario.confounders[0], level)
-        return integrate_1d(rule, lambda c: scenario.prob(a, c))
     grid = product_grid([rule_for(d, level) for d in scenario.confounders])
     return integrate_nd(grid, lambda pts: scenario.prob(a, pts))
 
@@ -245,9 +242,8 @@ def cde_arm_mean(scenario: CDEScenario, a: int, level: int) -> float:
     ell = ul_grid.points[:, 1]
     ul_part = b0 + b1 * a + b2 * scenario.m + b4 * ell + b5 * u
     # (K, K^2) linear predictor; inner reduction over the (U, L) grid first
-    lin = b3 * c_rule.nodes[:, None] + ul_part[None, :]
-    inner = scenario.inverse_link(lin) @ ul_grid.weights
-    return float(c_rule.weights @ inner)
+    return integrate_1d(c_rule, lambda c: scenario.inverse_link(b3 * c[:, None] + ul_part[None, :])
+                        @ ul_grid.weights)
 
 
 def cde_truth(scenario: CDEScenario, level: int) -> TruthResult:
@@ -307,8 +303,7 @@ def rmst(tau: float, lam) -> float | np.ndarray:
 def rmst_arm_mean(scenario: RMSTScenario, a: int, a_star: int, level: int) -> float:
     """Counterfactual RMST mean E_{M(a*)}[mu(tau; a, M(a*))] by Gauss-Hermite."""
     rule = rule_for(Normal(scenario.mediator_mean(a_star), 1.0), level)
-    lam = np.exp(scenario.log_rate(a, rule.nodes))
-    return float(rule.weights @ rmst(scenario.tau, lam))
+    return integrate_1d(rule, lambda m: rmst(scenario.tau, np.exp(scenario.log_rate(a, m))))
 
 
 def rmst_mediation_truth(scenario: RMSTScenario, level: int) -> TruthResult:
@@ -406,13 +401,13 @@ def _mediator_rule(scenario: HRScenario, a_prime: int, level: int) -> Rule1D:
 def counterfactual_density(scenario: HRScenario, a: int, a_prime: int, t: float, level: int) -> float:
     """Density of T(a, M(a')) at t via the mediation formula (integral over M(a'))."""
     rule = _mediator_rule(scenario, a_prime, level)
-    return float(rule.weights @ weibull_density(scenario, t, a, rule.nodes))
+    return integrate_1d(rule, lambda m: weibull_density(scenario, t, a, m))
 
 
 def counterfactual_survival(scenario: HRScenario, a: int, a_prime: int, t: float, level: int) -> float:
     """Survival of T(a, M(a')) at t by iterated expectation."""
     rule = _mediator_rule(scenario, a_prime, level)
-    return float(rule.weights @ weibull_survival(scenario, t, a, rule.nodes))
+    return integrate_1d(rule, lambda m: weibull_survival(scenario, t, a, m))
 
 
 def counterfactual_hazard(scenario: HRScenario, a: int, a_prime: int, t: float, level: int) -> float:

@@ -191,7 +191,8 @@ class TestIntegrateND:
 
     def test_scalar_callable_fallback(self):
         grid = tensor_grid(3, 2)
-        value = integrate_nd(grid, lambda p: float(p[0]) ** 2 + float(p[1]) ** 2)
+        with pytest.warns(RuntimeWarning, match=r"TypeError\(.*point by point"):
+            value = integrate_nd(grid, lambda p: float(p[0]) ** 2 + float(p[1]) ** 2)
         np.testing.assert_allclose(value, 2.0, atol=1e-12)
 
     def test_non_finite_reports_point(self):
@@ -204,3 +205,9 @@ class TestIntegrateND:
 
         with pytest.raises(NonFiniteEvaluationError, match="at point"):
             integrate_nd(grid, bad)
+
+    def test_fallback_warning_points_at_caller(self):
+        grid = tensor_grid(3, 2)
+        with pytest.warns(RuntimeWarning, match="point by point") as record:
+            integrate_nd(grid, lambda p: float(p[0]))
+        assert [w.filename for w in record] == [__file__]

@@ -244,7 +244,8 @@ class TestIntegrate1D:
         from truthquad import rule_for
 
         rule = rule_for(Normal(2.0, 1.0), 8)
-        value = integrate_1d(rule, lambda x: float(x) ** 2)
+        with pytest.warns(RuntimeWarning, match=r"TypeError\(.*point by point"):
+            value = integrate_1d(rule, lambda x: float(x) ** 2)
         np.testing.assert_allclose(value, 5.0, rtol=1e-12)
 
     def test_non_finite_identifies_node(self):
@@ -253,3 +254,19 @@ class TestIntegrate1D:
         rule = rule_for(Exponential(1.0), 6)
         with pytest.raises(NonFiniteEvaluationError, match="node index 0"):
             integrate_1d(rule, lambda x: np.where(x == rule.nodes[0], np.nan, 1.0))
+
+    def test_non_finite_value_printed_as_plain_float(self):
+        from truthquad import rule_for
+
+        rule = rule_for(Exponential(1.0), 6)
+        with pytest.raises(NonFiniteEvaluationError, match=r"returned inf at node index 2, at point \d"):
+            integrate_1d(rule, lambda x: np.where(x == rule.nodes[2], np.inf, 1.0))
+
+    def test_wrong_shape_falls_back_with_warning_at_caller(self):
+        from truthquad import rule_for
+
+        rule = rule_for(Normal(0.0, 1.0), 4)
+        with pytest.warns(RuntimeWarning, match=r"returned shape \(\), not \(4,\)") as record:
+            value = integrate_1d(rule, lambda x: 1.0)
+        np.testing.assert_allclose(value, 1.0, rtol=1e-14)
+        assert [w.filename for w in record] == [__file__]
