@@ -28,9 +28,10 @@ from .scenarios import (
     HRScenario,
     RMSTScenario,
     TruthResult,
+    _check_t,
     _odds_ratio,
     rmst,
-    weibull_density,
+    weibull_density,  # also wrapped here by perfbench/tracing.py SITES
     weibull_survival,
 )
 
@@ -259,21 +260,23 @@ def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
     combinations, and each ratio is formed by plug-in from the rep's own
     density and survival means.  Keys are (effect, t).
     """
-    ts = np.asarray(t_values if t_values is not None else scenario.t_grid, dtype=float)
+    ts = _check_t(t_values if t_values is not None else scenario.t_grid)
 
     def rep(rng: np.random.Generator) -> dict[tuple[str, float], float]:
         m0 = rng.normal(scenario.mediator_mean(0), 1.0, cfg.n_samples)
         m1 = rng.normal(scenario.mediator_mean(1), 1.0, cfg.n_samples)
+        haz = {}
+        for arms, m in (((1, 0), m0), ((0, 0), m0), ((1, 1), m1)):
+            # one exponent per arm; the hazard is h0(t) * E[z S] / E[S]
+            z = scenario._scale_factor(arms[0], m)
+            for t in ts:
+                s = scenario._survival(t, z)
+                haz[arms, t] = scenario._baseline_hazard(t) * float((z * s).mean()) / float(s.mean())
         out: dict[tuple[str, float], float] = {}
         for t in ts:
-            haz = {}
-            for (a, ap), m in (((1, 0), m0), ((0, 0), m0), ((1, 1), m1)):
-                f_bar = float(weibull_density(scenario, t, a, m).mean())
-                s_bar = float(weibull_survival(scenario, t, a, m).mean())
-                haz[(a, ap)] = f_bar / s_bar
-            out[("NDE", float(t))] = haz[(1, 0)] / haz[(0, 0)]
-            out[("NIE", float(t))] = haz[(1, 1)] / haz[(1, 0)]
-            out[("TE", float(t))] = haz[(1, 1)] / haz[(0, 0)]
+            out[("NDE", float(t))] = haz[(1, 0), t] / haz[(0, 0), t]
+            out[("NIE", float(t))] = haz[(1, 1), t] / haz[(1, 0), t]
+            out[("TE", float(t))] = haz[(1, 1), t] / haz[(0, 0), t]
         return out
 
     cols, seconds = _run_reps(rep, cfg, jobs)

@@ -361,6 +361,12 @@ class HRScenario:
     def _scale_factor(self, a: int, m) -> np.ndarray:
         return np.exp(self.beta_a * a + self.beta_m * np.asarray(m, dtype=float))
 
+    def _baseline_hazard(self, t):
+        return (self.gamma / self.lam) * (t / self.lam) ** (self.gamma - 1.0)
+
+    def _survival(self, t, z):
+        return np.exp(-((t / self.lam) ** self.gamma) * z)
+
 
 def _check_t(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
@@ -373,24 +379,21 @@ def weibull_density(scenario: HRScenario, t, a: int, m) -> float | np.ndarray:
     """Conditional density f(t | a, m) = hazard(t) * survival(t); broadcasts over t or m."""
     t = _check_t(t)
     z = scenario._scale_factor(a, m)
-    u = (t / scenario.lam) ** scenario.gamma
-    out = (scenario.gamma / scenario.lam) * (t / scenario.lam) ** (scenario.gamma - 1.0) * z * np.exp(-u * z)
+    out = scenario._baseline_hazard(t) * z * scenario._survival(t, z)
     return float(out) if out.ndim == 0 else out
 
 
 def weibull_survival(scenario: HRScenario, t, a: int, m) -> float | np.ndarray:
     """Conditional survival S(t | a, m); broadcasts over t or m."""
     t = _check_t(t)
-    z = scenario._scale_factor(a, m)
-    out = np.exp(-((t / scenario.lam) ** scenario.gamma) * z)
+    out = scenario._survival(t, scenario._scale_factor(a, m))
     return float(out) if out.ndim == 0 else out
 
 
 def weibull_hazard(scenario: HRScenario, t, a: int, m) -> float | np.ndarray:
     """Conditional hazard lambda(t | a, m); broadcasts over t or m."""
     t = _check_t(t)
-    z = scenario._scale_factor(a, m)
-    out = (scenario.gamma / scenario.lam) * (t / scenario.lam) ** (scenario.gamma - 1.0) * z
+    out = scenario._baseline_hazard(t) * scenario._scale_factor(a, m)
     return float(out) if out.ndim == 0 else out
 
 

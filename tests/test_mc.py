@@ -25,6 +25,8 @@ from truthquad import (
     po_odds_ratio,
     potential_outcome_sim,
     rmst_mediation_truth,
+    weibull_density,
+    weibull_survival,
 )
 from truthquad.scenarios import TruthResult
 
@@ -173,6 +175,24 @@ class TestMCIntegration:
         for t in (1.0, 2.0):
             prod = per_t[("NDE", t)].estimates * per_t[("NIE", t)].estimates
             np.testing.assert_allclose(per_t[("TE", t)].estimates, prod, rtol=1e-12)
+
+    def test_hr_mediation_matches_hand_recomputation(self):
+        scenario = HRScenario()
+        cfg = MCConfig(5000, 1, 21)
+        ts = (0.5, 2.0)
+        per_t = mc_hr_mediation(scenario, cfg, t_values=ts)
+        assert list(per_t) == [(e, t) for t in ts for e in ("NDE", "NIE", "TE")]
+        rng = np.random.default_rng(cfg.seed_base)
+        m0 = rng.normal(scenario.mediator_mean(0), 1.0, cfg.n_samples)
+        m1 = rng.normal(scenario.mediator_mean(1), 1.0, cfg.n_samples)
+        for t in ts:
+            haz = {arms: (weibull_density(scenario, t, arms[0], m).mean()
+                          / weibull_survival(scenario, t, arms[0], m).mean())
+                   for arms, m in (((1, 0), m0), ((0, 0), m0), ((1, 1), m1))}
+            expected = {"NDE": haz[1, 0] / haz[0, 0], "NIE": haz[1, 1] / haz[1, 0],
+                        "TE": haz[1, 1] / haz[0, 0]}
+            for effect, value in expected.items():
+                np.testing.assert_allclose(per_t[(effect, t)].estimates, [value], rtol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
