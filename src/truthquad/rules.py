@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import NonFiniteEvaluationError, ValidationError
+from .errors import NonFiniteEvaluationError, NumericDomainError, ValidationError
 
 HERMITE = "hermite"
 LEGENDRE = "legendre"
@@ -242,6 +242,8 @@ def _weighted_sum(weights: np.ndarray, points: np.ndarray, f: Callable) -> float
     try:
         values = np.asarray(f(points), dtype=float)
         reason = None if values.shape == (n,) else f"returned shape {values.shape}, not ({n},)"
+    except (ValidationError, NumericDomainError):  # the package's own errors are not a scalar-only hint
+        raise
     except (TypeError, ValueError, IndexError) as exc:
         reason = repr(exc)
     if reason is not None:

@@ -140,6 +140,24 @@ class TestTruthCommand:
         assert len(series_rows) == 12  # 3 effects x 4 time points
 
 
+class TestNumericDomainExit:
+    @staticmethod
+    def hr_config(tmp_path, **scenario):
+        obj = json.loads((CONFIG_DIR / "hr_mediation.json").read_text())
+        obj["scenario"].update(scenario)
+        return write_config(tmp_path, obj)
+
+    def test_non_finite_integrand_exits_3(self, tmp_path):
+        result = run("truth", "--config", self.hr_config(tmp_path, beta_m=100))
+        assert result.exit_code == 3
+        assert "integrand returned nan at node index" in result.output
+
+    def test_survival_underflow_exits_3(self, tmp_path):
+        result = run("truth", "--config", self.hr_config(tmp_path, t_grid=[1, 10000]))
+        assert result.exit_code == 3
+        assert "t_grid upper bound" in result.output
+
+
 CONFOUNDING = {"kind": "confounding", "beta0": 1.0, "beta1": 1.0, "beta2": [-1.0],
                "confounders": [{"type": "normal", "mu": 0.0, "sigma2": 1.0}]}
 

@@ -1,5 +1,6 @@
 """Tests for univariate rule construction, rescaling, and integration."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,3 +271,14 @@ class TestIntegrate1D:
             value = integrate_1d(rule, lambda x: 1.0)
         np.testing.assert_allclose(value, 1.0, rtol=1e-14)
         assert [w.filename for w in record] == [__file__]
+
+    def test_package_errors_propagate_without_fallback(self):
+        from truthquad import rule_for
+
+        def out_of_domain(x):
+            raise ValidationError("rate must be positive")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="rate must be positive"):
+                integrate_1d(rule_for(Normal(0.0, 1.0), 4), out_of_domain)

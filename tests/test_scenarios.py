@@ -12,6 +12,7 @@ from truthquad import (
     HRScenario,
     LModel,
     MVNormal,
+    NonFiniteEvaluationError,
     Normal,
     NumericDomainError,
     RMSTScenario,
@@ -302,6 +303,12 @@ class TestHRMediation:
         scenario = HRScenario(t_grid=np.array([1.0, 10000.0]))
         with pytest.raises(NumericDomainError, match="t_grid upper bound"):
             hr_mediation_truth(scenario, 12)
+
+    def test_non_finite_density_raises(self):
+        # exp(100 m) overflows at the outer mediator nodes, so the density there is inf * 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteEvaluationError, match="node index"):
+                hr_mediation_truth(HRScenario(beta_m=100.0), 20)
 
     def test_series_and_averages_reported(self):
         scenario = HRScenario()
