@@ -14,11 +14,13 @@ supported, each matching a distribution family:
 
 Nodes and weights are built with the Golub-Welsch method: the nodes are the
 eigenvalues of the symmetric tridiagonal Jacobi matrix of the kernel's
-three-term recurrence, and each weight is the kernel mass times the squared
-first component of the corresponding eigenvector.  This is numerically stable
-for all supported levels and uniform across the four families; the classical
-explicit weight formulas are kept as cross-checks in the test suite, not as
-the construction path.
+three-term recurrence, computed by numpy's symmetric eigensolver, and each
+weight is the Christoffel function at its node, the kernel mass over the sum
+of the squared orthonormal polynomials p_0..p_{K-1}.  That recurrence stays
+accurate where the eigenvector first components of Golub-Welsch's own weight
+formula underflow.  The construction is uniform across the four families; the
+classical explicit weight formulas are kept as cross-checks in the test
+suite, not as the construction path.
 
 Raw rules carry the kernel's own weight mass (e.g. sqrt(pi) for hermite).
 ``rescale_rule`` turns a raw rule into a normalized rule targeting E[f(X)]
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonFiniteEvaluationError, NumericDomainError, ValidationError
 
@@ -130,6 +131,13 @@ class Rule1D:
                       self.weights / self.weights.sum(), normalized=True)
 
 
+# Keep this module-level name: perfbench/tracing.py wraps it for the rules.eigh metric.
+def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with ``diag`` and ``off``."""
+    # eigvalsh reads only the lower triangle, so the superdiagonal is left empty
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+
+
 def _recurrence(kind: RuleKind, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi-matrix diagonal and off-diagonal for the kernel's orthogonal polynomials."""
     n = np.arange(level, dtype=float)
@@ -187,7 +195,7 @@ def compute_rule(kind: RuleKind, level: int) -> Rule1D:
             stacklevel=2,
         )
     diag, off = _recurrence(kind, level)
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    nodes = eigh_tridiagonal(diag, off)
     if kind.family in (HERMITE, LEGENDRE):
         # kernels are symmetric: enforce exact node symmetry
         nodes = 0.5 * (nodes - nodes[::-1])

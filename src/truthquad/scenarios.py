@@ -289,14 +289,15 @@ def rmst(tau: float, lam) -> float | np.ndarray:
     """Restricted mean survival time of an exponential: (1 - exp(-lam*tau)) / lam.
 
     Uses expm1 so small and large rates both evaluate without cancellation or
-    overflow.
+    overflow.  A zero rate (e.g. exp of a very negative log-rate) gives the
+    limit tau.
     """
     if not tau > 0.0:
         raise ValidationError(f"tau must be positive, got {tau}")
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValidationError("rate must be positive")
-    out = -np.expm1(-lam * tau) / lam
+    if not np.all(lam >= 0.0):
+        raise ValidationError("rate must be non-negative")
+    out = np.divide(-np.expm1(-lam * tau), lam, out=np.full_like(lam, tau), where=lam > 0.0)
     return float(out) if out.ndim == 0 else out
 
 

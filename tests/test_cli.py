@@ -1,6 +1,9 @@
 """CLI tests: subcommands, exit codes, config validation, API equivalence."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +117,19 @@ class TestTruthCommand:
         result = run("truth", "--config", config)
         assert result.exit_code == 0
         assert json.loads(result.output)["results"]["NIE"] == 0.0
+
+    def test_rmst_rate_underflow_gives_limit(self, tmp_path):
+        # exp(log_rate) underflows to 0 at outer mediator nodes; the RMST there is tau
+        config = write_config(tmp_path, {
+            "schema_version": 1,
+            "id": "rmst-underflow",
+            "scenario": {"kind": "rmst", "beta_m": -200},
+            "method": {"level": 20},
+        })
+        result = run("truth", "--config", config)
+        assert result.exit_code == 0, result.output
+        values = json.loads(result.output[result.output.index("{"):])["results"]
+        assert all(math.isfinite(values[k]) for k in ("TE", "NDE", "NIE"))
 
     def test_csv_output(self, tmp_path):
         config = small_confounding_config(tmp_path)
@@ -368,3 +384,14 @@ class TestExampleConfigs:
         result = _compute_truth(config)
         assert result.method == "quadrature"
         assert all(np.isfinite(v) for v in result.components().values())
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would add ~0.45 s to every command
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, truthquad, truthquad.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"

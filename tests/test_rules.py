@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
 from scipy.special import eval_genlaguerre, eval_hermite
 
 from truthquad import (
@@ -21,6 +22,7 @@ from truthquad import (
     legendre_kind,
     rescale_rule,
 )
+from truthquad.rules import _recurrence
 from truthquad.special import expit
 
 import oracles
@@ -128,6 +130,18 @@ class TestComputeRule:
     def test_warns_beyond_soft_cap(self):
         with pytest.warns(UserWarning, match="machine-epsilon"):
             compute_rule(hermite_kind(), 55)
+
+    @pytest.mark.parametrize("kind", [hermite_kind(), legendre_kind(), laguerre_kind(),
+                                      genlaguerre_kind(-0.5), genlaguerre_kind(2.5)], ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 5, 20, 50, 64])
+    def test_nodes_match_scipy_tridiagonal_solver(self, kind, level):
+        # a few ulp of the largest node, so another LAPACK build does not fail this
+        expected = scipy_eigh_tridiagonal(*_recurrence(kind, level), eigvals_only=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # K = 64 is past the soft cap
+            nodes = compute_rule(kind, level).nodes
+        np.testing.assert_allclose(nodes, expected, rtol=0.0,
+                                   atol=8.0 * np.spacing(np.abs(expected).max()))
 
     def test_nodes_read_only(self):
         rule = compute_rule(hermite_kind(), 4)

@@ -166,6 +166,13 @@ class TestRMST:
             rmst(0.0, 1.0)
         with pytest.raises(ValidationError):
             rmst(1.0, -2.0)
+        with pytest.raises(ValidationError):
+            rmst(1.0, np.array([1.0, np.nan]))
+
+    def test_zero_rate_gives_horizon(self):
+        assert rmst(3.0, 0.0) == 3.0
+        np.testing.assert_array_equal(rmst(3.0, np.array([0.0, 1.0, 0.0])),
+                                      [3.0, -math.expm1(-3.0), 3.0])
 
     def test_intermediate_te_rate(self):
         scenario = RMSTScenario()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 
 from truthquad import (
     ClosedFormCase,
@@ -45,6 +46,23 @@ class TestExpit:
     def test_array_and_scalar_forms(self):
         assert isinstance(expit(1.2), float)
         assert expit(np.array([0.0, 1.0])).shape == (2,)
+
+    def test_matches_scipy_on_grid(self):
+        xs = np.linspace(-50.0, 50.0, 100001)
+        np.testing.assert_allclose(expit(xs), scipy_expit(xs), rtol=1e-15, atol=0.0)
+
+    def test_matches_scipy_at_special_values(self):
+        xs = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan])
+        np.testing.assert_array_equal(expit(xs), scipy_expit(xs))
+
+    def test_no_floating_point_error_on_finite_input(self):
+        big = np.logspace(-5.0, 308.0, 500)
+        xs = np.concatenate([-big, big, np.linspace(-800.0, 800.0, 3201)])
+        assert np.isfinite(xs).all()
+        with np.errstate(over="raise", invalid="raise"):
+            expit(xs)
+            expit(-1e308)
+            expit(1e308)
 
 
 class TestDilog:
