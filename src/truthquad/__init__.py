@@ -35,7 +35,6 @@ from .mc import (
     compare,
     mc_cde,
     mc_confounding,
-    mc_hr_counterfactual,
     mc_hr_mediation,
     mc_marginal_prob,
     mc_odds_ratio,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -25,6 +25,23 @@ from .rules import (
     legendre_kind,
     rescale_rule,
 )
+
+#: Most rows that the MVNormal draw and the Monte Carlo passes of
+#: ``truthquad.mc`` work on at a time: 256 KiB of float64, which stays in cache.
+BLOCK = 1 << 15
+
+
+def blocks(n: int) -> Iterator[slice]:
+    """ceil(n / BLOCK) consecutive slices of near-equal length that cover ``range(n)``.
+
+    With equal lengths no block is shorter than BLOCK / 2 rows once there are
+    two.  That matters to ``MVNormal.draw``: numpy hands a one-row matmul to a
+    BLAS routine that rounds differently, so a one-row tail block would not
+    reproduce numpy's whole-array values.
+    """
+    count = -(-n // BLOCK)
+    edges = [n * i // count for i in range(count + 1)]
+    return (slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -163,7 +180,17 @@ class MVNormal:
         return float(out[0]) if out.size == 1 else out
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.multivariate_normal(self.cov.mean, self.cov.covariance, size=n, method="cholesky")
+        """The values of ``rng.multivariate_normal(mean, cov, n, method="cholesky")``.
+
+        The Cholesky factor is applied in place block by block, not into a second (n, D) array.
+        """
+        x = rng.standard_normal((n, self.dim))
+        factor_t = np.linalg.cholesky(self.cov.covariance).T
+        for rows in blocks(n):
+            block = x[rows]
+            np.matmul(block, factor_t, out=block)
+        x += self.cov.mean
+        return x
 
     def mean(self) -> np.ndarray:
         return self.cov.mean

@@ -9,11 +9,19 @@ draws), which is what keeps the arm contrast tight.  For the confounding
 scenario one pass (``mc_confounding``) serves both arms and the odds ratio, so
 each repetition's confounders are drawn once.
 
+A repetition makes all of its draws first, with the same generator calls in
+the same order as an unblocked pass, and then evaluates its integrand over
+blocks of ``BLOCK`` draws, accumulating per-block sums (and, for the
+confounding within-rep SE, per-block deviations merged by Chan's formula).
+So a repetition's memory is about the size of its draws, and its estimates
+match a whole-array evaluation up to summation order (about 1e-14 relative).
+
 Prediction intervals are empirical 2.5/97.5 percentiles of the per-rep
 estimates by default; ``interval="normal"`` switches to mean +/- 1.96 sd.
 """
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,6 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .distributions import BLOCK, blocks  # BLOCK is re-exported as these passes' block size
 from .errors import ValidationError
 from .scenarios import (
     CDEScenario,
@@ -30,8 +39,8 @@ from .scenarios import (
     TruthResult,
     _check_t,
     _odds_ratio,
-    rmst,
-    weibull_density,  # also wrapped here by perfbench/tracing.py SITES
+    rmst_from_log_rate,
+    weibull_density,  # unused here; perfbench/tracing.py SITES wraps these two names on this module
     weibull_survival,
 )
 
@@ -119,6 +128,33 @@ def _run_reps(rep_fn: Callable[[np.random.Generator], Mapping[str, float]],
     return columns, seconds
 
 
+def _block_mean(n: int, values: Callable[[slice], np.ndarray]) -> float:
+    """Mean of ``values(rows)`` over ``blocks(n)``, one block in memory at a time."""
+    return sum(float(values(rows).sum()) for rows in blocks(n)) / n
+
+
+def _block_mean_se(n: int, values: Callable[[slice], np.ndarray]) -> tuple[float, float]:
+    """Mean and its standard error std(ddof=1) / sqrt(n) of ``values(rows)`` over ``blocks(n)``.
+
+    Each block's sum of squared deviations from its own mean is merged into
+    the running one with Chan, Golub & LeVeque's pairwise update, which keeps
+    the variance as accurate as a two-pass computation over the whole array.
+    """
+    count, total, m2 = 0, 0.0, 0.0
+    for rows in blocks(n):
+        x = values(rows)
+        size, block_total = x.size, float(x.sum())
+        dev = x - block_total / size
+        m2 += float(dev @ dev)
+        if count:
+            delta = block_total / size - total / count
+            m2 += delta * delta * count * size / (count + size)
+        count += size
+        total += block_total
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
+    return total / n, se
+
+
 # ---------------------------------------------------------------------------
 # Confounding scenario
 # ---------------------------------------------------------------------------
@@ -137,14 +173,16 @@ def mc_confounding(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1,
 
     def rep(rng: np.random.Generator) -> dict[str, float]:
         c = scenario.draw_confounders(rng, n)
-        u = rng.random(n) if simulate else None
         out = {}
-        for a in (0, 1):
-            values = scenario.prob(a, c)
-            p = float(((u < values) if simulate else values).mean())
-            out[f"p{a}"] = p
-            out[f"p{a}_se"] = (np.sqrt(p * (1.0 - p) / n) if simulate
-                               else float(values.std(ddof=1) / np.sqrt(n)))
+        if simulate:
+            u = rng.random(n)
+            for a in (0, 1):
+                # a count of successes, so the mean is exact whatever the blocks
+                p = _block_mean(n, lambda rows: u[rows] < scenario.prob(a, c[rows]))
+                out[f"p{a}"], out[f"p{a}_se"] = p, np.sqrt(p * (1.0 - p) / n)
+        else:
+            for a in (0, 1):
+                out[f"p{a}"], out[f"p{a}_se"] = _block_mean_se(n, lambda rows: scenario.prob(a, c[rows]))
         out["odds_ratio"] = _odds_ratio(out["p1"], out["p0"])
         return out
 
@@ -185,16 +223,21 @@ def mc_cde(scenario: CDEScenario, cfg: MCConfig, jobs: int = 1,
            interval: str = "empirical") -> dict[str, MCSummary]:
     """MC integration of both CDE arm means; exogenous draws shared across arms."""
     b0, b1, b2, b3, b4, b5 = scenario.beta
+    lm = scenario.l_model
+    n = cfg.n_samples
 
     def rep(rng: np.random.Generator) -> dict[str, float]:
-        c = scenario.c_dist.draw(rng, cfg.n_samples)
-        u = scenario.u_dist.draw(rng, cfg.n_samples)
-        eps = rng.normal(0.0, np.sqrt(scenario.l_model.sigma2), cfg.n_samples)
-        out = {}
-        for label, a in (("mean_a", scenario.a), ("mean_a_star", scenario.a_star)):
-            ell = scenario.l_model.intercept + scenario.l_model.a_coef * a + scenario.l_model.u_coef * u + eps
-            lin = b0 + b1 * a + b2 * scenario.m + b3 * c + b4 * ell + b5 * u
-            out[label] = float(scenario.inverse_link(lin).mean())
+        c = scenario.c_dist.draw(rng, n)
+        u = scenario.u_dist.draw(rng, n)
+        eps = rng.normal(0.0, np.sqrt(lm.sigma2), n)
+
+        def outcome(rows: slice, a: int) -> np.ndarray:
+            ell = lm.intercept + lm.a_coef * a + lm.u_coef * u[rows] + eps[rows]
+            lin = b0 + b1 * a + b2 * scenario.m + b3 * c[rows] + b4 * ell + b5 * u[rows]
+            return scenario.inverse_link(lin)
+
+        out = {label: _block_mean(n, lambda rows: outcome(rows, a))
+               for label, a in (("mean_a", scenario.a), ("mean_a_star", scenario.a_star))}
         out["cde"] = out["mean_a"] - out["mean_a_star"]
         return out
 
@@ -214,12 +257,14 @@ def mc_rmst_mediation(scenario: RMSTScenario, cfg: MCConfig, jobs: int = 1,
     RMST under the three (a, M(a*)) combinations, average, and combine into
     TE / NDE / NIE.
     """
+    n = cfg.n_samples
+
     def rep(rng: np.random.Generator) -> dict[str, float]:
-        m1 = rng.normal(scenario.mu1, 1.0, cfg.n_samples)
-        m0 = rng.normal(scenario.mu0, 1.0, cfg.n_samples)
-        mu11 = float(rmst(scenario.tau, np.exp(scenario.log_rate(1, m1))).mean())
-        mu00 = float(rmst(scenario.tau, np.exp(scenario.log_rate(0, m0))).mean())
-        mu10 = float(rmst(scenario.tau, np.exp(scenario.log_rate(1, m0))).mean())
+        m1 = rng.normal(scenario.mu1, 1.0, n)
+        m0 = rng.normal(scenario.mu0, 1.0, n)
+        mu11, mu00, mu10 = (
+            _block_mean(n, lambda rows: rmst_from_log_rate(scenario.tau, scenario.log_rate(a, m[rows])))
+            for a, m in ((1, m1), (0, m0), (1, m0)))
         return {"mu11": mu11, "mu00": mu00, "mu10": mu10,
                 "TE": mu11 - mu00, "NDE": mu10 - mu00, "NIE": mu11 - mu10}
 
@@ -231,26 +276,6 @@ def mc_rmst_mediation(scenario: RMSTScenario, cfg: MCConfig, jobs: int = 1,
 # HR scenario
 # ---------------------------------------------------------------------------
 
-def mc_hr_counterfactual(scenario: HRScenario, which: str, a: int, a_prime: int,
-                         t: float, cfg: MCConfig, jobs: int = 1,
-                         interval: str = "empirical") -> MCSummary:
-    """MC integration of a counterfactual density or survival value at time t."""
-    if which not in ("density", "survival"):
-        raise ValidationError(f"which must be 'density' or 'survival', got {which!r}")
-    fn = weibull_density if which == "density" else weibull_survival
-    mu_m = scenario.mediator_mean(a_prime)
-
-    def rep(rng: np.random.Generator) -> dict[str, float]:
-        m = rng.normal(mu_m, 1.0, cfg.n_samples)
-        values = fn(scenario, t, a, m)
-        return {"estimate": float(values.mean()),
-                "within_se": float(values.std(ddof=1) / np.sqrt(cfg.n_samples))}
-
-    cols, seconds = _run_reps(rep, cfg, jobs)
-    return _summarize(f"{which}({t};a={a},a'={a_prime})", cols["estimate"], seconds, cfg,
-                      within=cols["within_se"], interval=interval)
-
-
 def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
                     t_values: Sequence[float] | None = None, jobs: int = 1,
                     interval: str = "empirical") -> dict[tuple[str, float], MCSummary]:
@@ -258,25 +283,30 @@ def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
 
     Per repetition the mediator draws are shared across time points and arm
     combinations, and each ratio is formed by plug-in from the rep's own
-    density and survival means.  Keys are (effect, t).
+    density and survival means.  Keys are (effect, t).  Each block evaluates
+    the survival at every t at once, so it holds a (len(t), BLOCK) array.
     """
     ts = _check_t(t_values if t_values is not None else scenario.t_grid)
+    n = cfg.n_samples
 
     def rep(rng: np.random.Generator) -> dict[tuple[str, float], float]:
-        m0 = rng.normal(scenario.mediator_mean(0), 1.0, cfg.n_samples)
-        m1 = rng.normal(scenario.mediator_mean(1), 1.0, cfg.n_samples)
+        m0 = rng.normal(scenario.mediator_mean(0), 1.0, n)
+        m1 = rng.normal(scenario.mediator_mean(1), 1.0, n)
         haz = {}
         for arms, m in (((1, 0), m0), ((0, 0), m0), ((1, 1), m1)):
-            # one exponent per arm; the hazard is h0(t) * E[z S] / E[S]
-            z = scenario._scale_factor(arms[0], m)
-            for t in ts:
-                s = scenario._survival(t, z)
-                haz[arms, t] = scenario._baseline_hazard(t) * float((z * s).mean()) / float(s.mean())
+            # the hazard is h0(t) * sum(z S) / sum(S), with S of shape (len(t), block)
+            zs_sum = s_sum = 0.0
+            for rows in blocks(n):
+                z = scenario._scale_factor(arms[0], m[rows])
+                s = scenario._survival(ts[:, None], z)
+                zs_sum = zs_sum + s @ z
+                s_sum = s_sum + s.sum(axis=1)
+            haz[arms] = scenario._baseline_hazard(ts) * zs_sum / s_sum
         out: dict[tuple[str, float], float] = {}
-        for t in ts:
-            out[("NDE", float(t))] = haz[(1, 0), t] / haz[(0, 0), t]
-            out[("NIE", float(t))] = haz[(1, 1), t] / haz[(1, 0), t]
-            out[("TE", float(t))] = haz[(1, 1), t] / haz[(0, 0), t]
+        for i, t in enumerate(ts):
+            out[("NDE", float(t))] = haz[1, 0][i] / haz[0, 0][i]
+            out[("NIE", float(t))] = haz[1, 1][i] / haz[1, 0][i]
+            out[("TE", float(t))] = haz[1, 1][i] / haz[0, 0][i]
         return out
 
     cols, seconds = _run_reps(rep, cfg, jobs)

@@ -129,7 +129,10 @@ class ConfoundingScenario:
             return self.confounders.draw(rng, n)
         if self.dim == 1:
             return self.confounders[0].draw(rng, n)
-        return np.column_stack([d.draw(rng, n) for d in self.confounders])
+        c = np.empty((n, self.dim))
+        for j, dist in enumerate(self.confounders):
+            c[:, j] = dist.draw(rng, n)
+        return c
 
 
 def marginal_prob(scenario: ConfoundingScenario, a: int, level: int,
@@ -301,10 +304,19 @@ def rmst(tau: float, lam) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def rmst_from_log_rate(tau: float, log_rate) -> float | np.ndarray:
+    """``rmst(tau, exp(log_rate))`` without overflow warnings.
+
+    An infinite rate gives the limit 0, and one whose product with tau overflows gives 1 / rate.
+    """
+    with np.errstate(over="ignore"):
+        return rmst(tau, np.exp(log_rate))
+
+
 def rmst_arm_mean(scenario: RMSTScenario, a: int, a_star: int, level: int) -> float:
     """Counterfactual RMST mean E_{M(a*)}[mu(tau; a, M(a*))] by Gauss-Hermite."""
     rule = rule_for(Normal(scenario.mediator_mean(a_star), 1.0), level)
-    return integrate_1d(rule, lambda m: rmst(scenario.tau, np.exp(scenario.log_rate(a, m))))
+    return integrate_1d(rule, lambda m: rmst_from_log_rate(scenario.tau, scenario.log_rate(a, m)))
 
 
 def rmst_mediation_truth(scenario: RMSTScenario, level: int) -> TruthResult:

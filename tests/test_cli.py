@@ -131,6 +131,27 @@ class TestTruthCommand:
         values = json.loads(result.output[result.output.index("{"):])["results"]
         assert all(math.isfinite(values[k]) for k in ("TE", "NDE", "NIE"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["truth", "compare"])
+    @pytest.mark.parametrize("beta_m", [-200, 200])
+    def test_rmst_extreme_rates_print_no_warning(self, tmp_path, command, beta_m):
+        # exp(log_rate) underflows to 0 or overflows to inf at outer mediator
+        # values; the RMST there is its limit (tau or 0), with no warning
+        config = write_config(tmp_path, {
+            "schema_version": 1,
+            "id": "rmst-extreme",
+            "scenario": {"kind": "rmst", "beta_m": beta_m},
+            "method": {"level": 20, "n_samples": 2000, "n_reps": 3, "seed": 1},
+        })
+        result = run(command, "--config", config)
+        assert result.exit_code == 0, result.output
+        if command == "truth":
+            values = json.loads(result.output)["results"].values()
+        else:
+            rows = result.output.strip().splitlines()[1:]
+            values = [float(f) for row in rows for f in row.split(",")[2:4]]
+        assert all(math.isfinite(v) for v in values)
+
     def test_csv_output(self, tmp_path):
         config = small_confounding_config(tmp_path)
         out_csv = tmp_path / "truth.csv"

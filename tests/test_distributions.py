@@ -20,6 +20,7 @@ from truthquad import (
     rule_for,
     sample,
 )
+from truthquad.mc import BLOCK
 from truthquad.special import expit
 
 
@@ -88,6 +89,18 @@ class TestSample:
     def test_n_validation(self):
         with pytest.raises(ValidationError):
             sample(Normal(0, 1), 0, seed=1)
+
+    @pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("mean, cov", [
+        ([-5.0, -10.0], [[1.0, 1.0], [1.0, 2.0]]),
+        ([1.0, 0.0, -2.0], [[2.0, 0.5, 0.3], [0.5, 1.0, -0.2], [0.3, -0.2, 1.5]]),
+    ])
+    def test_mvnormal_draw_is_numpy_cholesky_draw(self, mean, cov, n):
+        # the blocked in-place transform gives numpy's values bit for bit
+        got = MVNormal.of(mean, cov).draw(np.random.default_rng(17), n)
+        want = np.random.default_rng(17).multivariate_normal(mean, cov, size=n, method="cholesky")
+        assert got.shape == want.shape == (n, len(mean))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRuleFor:

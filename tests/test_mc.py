@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine: simulation, integration, comparison."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ from truthquad import (
     ConfoundingScenario,
     HRScenario,
     MCConfig,
+    MVNormal,
     Normal,
     RMSTScenario,
     ValidationError,
     compare,
-    counterfactual_density,
     mc_cde,
     mc_confounding,
-    mc_hr_counterfactual,
     mc_hr_mediation,
     mc_marginal_prob,
     mc_odds_ratio,
@@ -24,10 +24,12 @@ from truthquad import (
     odds_ratio_truth,
     po_odds_ratio,
     potential_outcome_sim,
+    rmst,
     rmst_mediation_truth,
     weibull_density,
     weibull_survival,
 )
+from truthquad.mc import BLOCK
 from truthquad.scenarios import TruthResult
 
 
@@ -162,12 +164,6 @@ class TestMCIntegration:
         z = (truth["cde"] - summaries["cde"].mean) / summaries["cde"].se_of_mean
         assert abs(z) < 4
 
-    def test_hr_counterfactual_matches_quadrature(self):
-        scenario = HRScenario()
-        summary = mc_hr_counterfactual(scenario, "density", 1, 0, 1.0, MCConfig(10**4, 40, 13))
-        quad = counterfactual_density(scenario, 1, 0, 1.0, 20)
-        assert abs(quad - summary.mean) < 4 * summary.se_of_mean
-
     def test_hr_mediation_keys_and_decomposition(self):
         scenario = HRScenario()
         per_t = mc_hr_mediation(scenario, MCConfig(2000, 25, 3), t_values=[1.0, 2.0])
@@ -210,6 +206,144 @@ class TestMCIntegration:
         lo, hi = summary.interval
         np.testing.assert_allclose(hi - summary.mean, 1.96 * summary.sd, rtol=1e-12)
         np.testing.assert_allclose(summary.mean - lo, 1.96 * summary.sd, rtol=1e-12)
+
+
+def bivariate_scenario():
+    return ConfoundingScenario(1.0, 1.0, np.array([0.3, -0.2]),
+                               MVNormal.of([1.0, -2.0], [[1.0, 0.5], [0.5, 2.0]]))
+
+
+HR_TIMES = (0.5, 1.0, 2.0, 3.5, 5.0)
+
+
+def unblocked_confounding(scenario, simulate):
+    """One rep of the confounding pass on whole arrays; per key (estimate, within-rep SE)."""
+    def rep(rng, n):
+        if isinstance(scenario.confounders, MVNormal):
+            cov = scenario.confounders.cov
+            c = rng.multivariate_normal(cov.mean, cov.covariance, size=n, method="cholesky")
+        else:
+            c = rng.normal(0.0, 1.0, n)
+        u = rng.random(n)
+        out = {}
+        for a in (0, 1):
+            q = scenario.prob(a, c)
+            if simulate:
+                p = (u < q).mean()
+                out[f"p{a}"] = (p, math.sqrt(p * (1 - p) / n))
+            else:
+                out[f"p{a}"] = (q.mean(), q.std(ddof=1) / math.sqrt(n))
+        p0, p1 = out["p0"][0], out["p1"][0]
+        out["odds_ratio"] = ((p1 / (1 - p1)) / (p0 / (1 - p0)), None)
+        return out
+    return rep
+
+
+def unblocked_cde(scenario):
+    b0, b1, b2, b3, b4, b5 = scenario.beta
+    lm = scenario.l_model
+
+    def rep(rng, n):
+        c = rng.normal(scenario.c_dist.mu, math.sqrt(scenario.c_dist.sigma2), n)
+        u = rng.normal(scenario.u_dist.mu, math.sqrt(scenario.u_dist.sigma2), n)
+        eps = rng.normal(0.0, math.sqrt(lm.sigma2), n)
+        means = {}
+        for label, a in (("mean_a", scenario.a), ("mean_a_star", scenario.a_star)):
+            ell = lm.intercept + lm.a_coef * a + lm.u_coef * u + eps
+            lin = b0 + b1 * a + b2 * scenario.m + b3 * c + b4 * ell + b5 * u
+            means[label] = scenario.inverse_link(lin).mean()
+        means["cde"] = means["mean_a"] - means["mean_a_star"]
+        return {k: (v, None) for k, v in means.items()}
+    return rep
+
+
+def unblocked_rmst(scenario):
+    def rep(rng, n):
+        m1 = rng.normal(scenario.mu1, 1.0, n)
+        m0 = rng.normal(scenario.mu0, 1.0, n)
+        mu11, mu00, mu10 = (rmst(scenario.tau, np.exp(scenario.log_rate(a, m))).mean()
+                            for a, m in ((1, m1), (0, m0), (1, m0)))
+        est = {"mu11": mu11, "mu00": mu00, "mu10": mu10,
+               "TE": mu11 - mu00, "NDE": mu10 - mu00, "NIE": mu11 - mu10}
+        return {k: (v, None) for k, v in est.items()}
+    return rep
+
+
+def unblocked_hr(scenario):
+    def rep(rng, n):
+        m0 = rng.normal(scenario.mediator_mean(0), 1.0, n)
+        m1 = rng.normal(scenario.mediator_mean(1), 1.0, n)
+        out = {}
+        for t in HR_TIMES:
+            haz = {arms: (weibull_density(scenario, t, arms[0], m).mean()
+                          / weibull_survival(scenario, t, arms[0], m).mean())
+                   for arms, m in (((1, 0), m0), ((0, 0), m0), ((1, 1), m1))}
+            out[("NDE", t)] = (haz[1, 0] / haz[0, 0], None)
+            out[("NIE", t)] = (haz[1, 1] / haz[1, 0], None)
+            out[("TE", t)] = (haz[1, 1] / haz[0, 0], None)
+        return out
+    return rep
+
+
+CDE_LOGIT = CDEScenario(link="logit", beta=(0.1, 0.4, 0.2, 0.1, 0.05, 0.1))
+
+#: name -> (blocked pass taking (cfg, jobs), whole-array reference for one rep,
+#: draws per sample); every draw is a float64
+PASSES = {
+    "confounding": (lambda cfg, jobs: mc_confounding(normal_scenario(), cfg, jobs),
+                    unblocked_confounding(normal_scenario(), False), 1),
+    "confounding_mvnormal": (lambda cfg, jobs: mc_confounding(bivariate_scenario(), cfg, jobs),
+                             unblocked_confounding(bivariate_scenario(), False), 2),
+    "confounding_simulate": (lambda cfg, jobs: mc_confounding(normal_scenario(), cfg, jobs, simulate=True),
+                             unblocked_confounding(normal_scenario(), True), 2),
+    "cde": (lambda cfg, jobs: mc_cde(CDE_LOGIT, cfg, jobs), unblocked_cde(CDE_LOGIT), 3),
+    "rmst": (lambda cfg, jobs: mc_rmst_mediation(RMSTScenario(), cfg, jobs),
+             unblocked_rmst(RMSTScenario()), 2),
+    "hr": (lambda cfg, jobs: mc_hr_mediation(HRScenario(), cfg, t_values=HR_TIMES, jobs=jobs),
+           unblocked_hr(HRScenario()), 2),
+}
+
+
+class TestBlocks:
+    """Blocked passes against whole-array evaluation of the same draws."""
+
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_matches_unblocked_recomputation(self, name, n):
+        run, reference, _ = PASSES[name]
+        # at n = 2 a simulated p is 0, 1/2 or 1; this seed gives 1/2 in both arms of both reps
+        cfg = MCConfig(n, 2, 1033)
+        summaries = run(cfg, 1)
+        for r in range(cfg.n_reps):
+            expected = reference(np.random.default_rng(cfg.seed_base + r), n)
+            assert list(summaries) == list(expected)
+            for key, (estimate, se) in expected.items():
+                np.testing.assert_allclose(summaries[key].estimates[r], estimate, rtol=1e-13, atol=0.0)
+                if se is not None:
+                    np.testing.assert_allclose(summaries[key].within_rep_se[r], se, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_jobs_do_not_change_blocked_results(self, name):
+        run, _, _ = PASSES[name]
+        cfg = MCConfig(3 * BLOCK + 7, 3, 99)
+        sequential, threaded = run(cfg, 1), run(cfg, 2)
+        for key, summary in sequential.items():
+            assert summary.same_estimates(threaded[key])
+            if summary.within_rep_se is not None:
+                np.testing.assert_array_equal(summary.within_rep_se, threaded[key].within_rep_se)
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_rep_memory_is_about_its_draws(self, name):
+        run, _, draws_per_sample = PASSES[name]
+        n = 16 * BLOCK + 3
+        draw_bytes = 8 * draws_per_sample * n
+        tracemalloc.start()
+        try:
+            run(MCConfig(n, 1, 5), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * draw_bytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestCompare:

@@ -9,6 +9,7 @@ from truthquad import (
     ClosedFormCase,
     ConfoundingScenario,
     Decomposition,
+    Gamma,
     HRScenario,
     LModel,
     MVNormal,
@@ -16,6 +17,7 @@ from truthquad import (
     Normal,
     NumericDomainError,
     RMSTScenario,
+    Uniform,
     ValidationError,
     cde_truth,
     counterfactual_density,
@@ -32,6 +34,9 @@ from truthquad import (
     weibull_hazard,
     weibull_survival,
 )
+
+from truthquad.mc import BLOCK
+from truthquad.scenarios import rmst_from_log_rate
 
 import oracles
 
@@ -78,6 +83,18 @@ class TestMarginalProb:
     def test_beta2_length_checked(self):
         with pytest.raises(ValidationError, match="beta2"):
             ConfoundingScenario(0.0, 1.0, np.array([1.0, 2.0]), (Normal(0, 1),))
+
+
+class TestDrawConfounders:
+    def test_independent_draws_are_the_stacked_draws(self):
+        scenario = ConfoundingScenario(0.0, 1.0, np.array([0.5, 0.5, 0.2]),
+                                       (Normal(1.0, 2.0), Gamma(4.0, 0.5), Uniform(-1.0, 1.0)))
+        n = BLOCK + 1
+        got = scenario.draw_confounders(np.random.default_rng(9), n)
+        rng = np.random.default_rng(9)
+        want = np.column_stack([d.draw(rng, n) for d in scenario.confounders])
+        assert got.shape == want.shape == (n, 3)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOddsRatio:
@@ -173,6 +190,17 @@ class TestRMST:
         assert rmst(3.0, 0.0) == 3.0
         np.testing.assert_array_equal(rmst(3.0, np.array([0.0, 1.0, 0.0])),
                                       [3.0, -math.expm1(-3.0), 3.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_from_log_rate(self):
+        log_rate = np.array([-800.0, -1.0, 0.0, 3.0, 709.0, 710.0, 800.0])
+        out = rmst_from_log_rate(3.0, log_rate)
+        # exp overflows from the sixth entry on; before it the values are rmst's own
+        with np.errstate(over="ignore"):  # 3 * exp(709) overflows; the RMST is 1 / rate
+            expected = rmst(3.0, np.exp(log_rate[:5]))
+        np.testing.assert_array_equal(out[:5], expected)
+        assert out[0] == 3.0 and out[4] > 0.0
+        np.testing.assert_array_equal(out[5:], [0.0, 0.0])
 
     def test_intermediate_te_rate(self):
         scenario = RMSTScenario()
