@@ -4,10 +4,15 @@ Subcommands: rule, grid, truth, mc, compare, bench.  Results are emitted as
 CSV (17-significant-digit floats, '.' decimal) and JSON; files are written
 atomically (temp file + rename).  Exit codes: 0 success, 2 validation
 failure, 3 numeric-domain error.
+
+``run`` is the process entry point (the ``truthquad`` script and
+``python -m truthquad.cli``); ``main`` is the click group, which tests and
+other callers invoke in-process.
 """
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import sys
@@ -17,7 +22,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import bench as bench_mod
 from .config import ScenarioConfig, load_config
 from .distributions import Exponential, Gamma, Normal, Uniform
 from .errors import NumericDomainError, ValidationError
@@ -263,7 +267,8 @@ def _mc_csv(config: ScenarioConfig, method_name: str, summaries: dict[str, MCSum
               type=click.Choice(["mc_integration", "potential_outcome_sim"]),
               default="mc_integration", show_default=True)
 @click.option("--seed", type=int, default=None, help="Overrides the config's method.seed.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker cap for repetitions.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker cap for repetitions.")
 @click.option("--out", default="-", help="Output CSV path ('-' for stdout).")
 @_exit_codes
 def mc(config_path, method_name, seed, jobs, out):
@@ -296,7 +301,8 @@ def _resolve_mc(config: ScenarioConfig, seed_flag: int | None) -> tuple[int, int
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None, help="Overrides the config's method.seed.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker cap for repetitions.")
 @click.option("--out", default="-", help="Output CSV path ('-' for stdout).")
 @_exit_codes
 def compare(config_path, seed, jobs, out):
@@ -353,6 +359,8 @@ def bench() -> None:
 @_exit_codes
 def convergence(case, k_min, k_max, mc_n, mc_reps, timing_reps, seed, out):
     """Bias and runtime of the closed-form case as K grows, with MC reference rows."""
+    from . import bench as bench_mod  # only the bench commands need it
+
     spec = bench_mod.SweepSpec(
         case=ClosedFormCase(case),
         k_values=tuple(range(k_min, k_max + 1)),
@@ -375,6 +383,8 @@ def convergence(case, k_min, k_max, mc_n, mc_reps, timing_reps, seed, out):
 @_exit_codes
 def dimension(d_max, level, mc_n, timing_reps, seed, out):
     """Runtime of quadrature (fixed K) and MC integration across dimensions."""
+    from . import bench as bench_mod
+
     spec = bench_mod.SweepSpec(
         dims=tuple(range(1, d_max + 1)),
         dim_level=level,
@@ -386,5 +396,17 @@ def dimension(d_max, level, mc_n, timing_reps, seed, out):
     _emit(bench_mod.dimension_csv(rows), out)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Run the CLI as a process: freeze the GC, then dispatch.
+
+    Everything imported so far lives until the process exits.  ``gc.freeze``
+    moves it out of the collector's generations, so neither the collections
+    during the command nor the final one at exit scan it again.  ``main``
+    does not freeze, because tests and other callers run it in-process.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

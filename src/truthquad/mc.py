@@ -16,16 +16,24 @@ confounding within-rep SE, per-block deviations merged by Chan's formula).
 So a repetition's memory is about the size of its draws, and its estimates
 match a whole-array evaluation up to summation order (about 1e-14 relative).
 
+Each repetition allocates its workspaces once, at most ``BLOCK`` rows each,
+and every block is evaluated into them in place through the scenario's own
+functions (``prob``, ``log_rate`` and ``rmst_from_log_rate``,
+``_scale_factor`` and ``_survival``) called with ``out=``.  Those keep the
+operation order of their allocating forms, so a block's values are the same
+bits either way.  ``MCSummary.draw_seconds`` records the part of each
+repetition's time spent drawing; the rest is evaluation.
+
 Prediction intervals are empirical 2.5/97.5 percentiles of the per-rep
 estimates by default; ``interval="normal"`` switches to mean +/- 1.96 sd.
 """
 from __future__ import annotations
 
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,13 +82,14 @@ class MCSummary:
     seed_base: int
     within_rep_se: np.ndarray | None = None
     rep_seconds: np.ndarray | None = None
+    draw_seconds: np.ndarray | None = None  # the part of rep_seconds spent drawing
 
     def same_estimates(self, other: "MCSummary") -> bool:
         return self.estimand == other.estimand and np.array_equal(self.estimates, other.estimates)
 
 
-def _summarize(estimand: str, estimates: np.ndarray, seconds: np.ndarray, cfg: MCConfig,
-               within: np.ndarray | None = None, interval: str = "empirical") -> MCSummary:
+def _summarize(estimand: str, estimates: np.ndarray, seconds: np.ndarray, draw_seconds: np.ndarray,
+               cfg: MCConfig, within: np.ndarray | None = None, interval: str = "empirical") -> MCSummary:
     estimates = np.asarray(estimates, dtype=float)
     seconds = np.asarray(seconds, dtype=float)
     mean = float(estimates.mean())
@@ -104,28 +113,71 @@ def _summarize(estimand: str, estimates: np.ndarray, seconds: np.ndarray, cfg: M
         seed_base=cfg.seed_base,
         within_rep_se=within,
         rep_seconds=seconds,
+        draw_seconds=draw_seconds,
     )
 
 
-def _run_reps(rep_fn: Callable[[np.random.Generator], Mapping[str, float]],
-              cfg: MCConfig, jobs: int = 1) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Run ``rep_fn`` once per repetition; returns per-key estimate arrays and per-rep seconds."""
-    def one(rep: int) -> tuple[Mapping[str, float], float]:
+def _run_reps(draw: Callable[[np.random.Generator], Any], evaluate: Callable[[Any], Mapping[str, float]],
+              cfg: MCConfig, jobs: int = 1) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Draw, then evaluate, once per repetition.
+
+    Returns per-key estimate arrays, per-rep seconds and the part of them
+    spent drawing.  With ``jobs`` > 1, min(jobs, n_reps) threads take
+    repetition indices in turn.  No thread starts a repetition after one has
+    failed, and the failure (the lowest-numbered one, if several) is
+    re-raised here.
+    """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    outcomes: list = [None] * cfg.n_reps
+
+    def one(rep: int) -> None:
         rng = np.random.default_rng(cfg.seed_base + rep)
         t0 = time.perf_counter()
-        result = rep_fn(rng)
-        return result, time.perf_counter() - t0
+        draws = draw(rng)
+        t1 = time.perf_counter()
+        result = evaluate(draws)
+        outcomes[rep] = result, time.perf_counter() - t0, t1 - t0
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, range(cfg.n_reps)))
+    workers = min(jobs, cfg.n_reps)
+    if workers == 1:
+        for rep in range(cfg.n_reps):
+            one(rep)
     else:
-        outcomes = [one(rep) for rep in range(cfg.n_reps)]
+        todo = iter(range(cfg.n_reps))
+        lock = threading.Lock()
+        errors: dict[int, BaseException] = {}
+
+        def work() -> None:
+            while True:
+                with lock:  # so that no rep is taken once a failure is recorded
+                    rep = None if errors else next(todo, None)
+                if rep is None:
+                    return
+                try:
+                    one(rep)
+                except BaseException as exc:  # re-raised in the calling thread
+                    with lock:
+                        errors[rep] = exc
+
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[min(errors)]
 
     keys = list(outcomes[0][0].keys())
     columns = {k: np.array([out[0][k] for out in outcomes]) for k in keys}
     seconds = np.array([out[1] for out in outcomes])
-    return columns, seconds
+    draw_seconds = np.array([out[2] for out in outcomes])
+    return columns, seconds, draw_seconds
+
+
+def _fit(workspace: np.ndarray, rows: slice) -> np.ndarray:
+    """The leading part of a block-sized workspace, sized for block ``rows``."""
+    return workspace[: rows.stop - rows.start]
 
 
 def _block_mean(n: int, values: Callable[[slice], np.ndarray]) -> float:
@@ -139,13 +191,14 @@ def _block_mean_se(n: int, values: Callable[[slice], np.ndarray]) -> tuple[float
     Each block's sum of squared deviations from its own mean is merged into
     the running one with Chan, Golub & LeVeque's pairwise update, which keeps
     the variance as accurate as a two-pass computation over the whole array.
+    ``values`` returns a workspace, which this overwrites with the deviations.
     """
     count, total, m2 = 0, 0.0, 0.0
     for rows in blocks(n):
         x = values(rows)
         size, block_total = x.size, float(x.sum())
-        dev = x - block_total / size
-        m2 += float(dev @ dev)
+        x -= block_total / size
+        m2 += float(x @ x)
         if count:
             delta = block_total / size - total / count
             m2 += delta * delta * count * size / (count + size)
@@ -171,23 +224,30 @@ def mc_confounding(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1,
     """
     n = cfg.n_samples
 
-    def rep(rng: np.random.Generator) -> dict[str, float]:
-        c = scenario.draw_confounders(rng, n)
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+        return scenario.draw_confounders(rng, n), rng.random(n) if simulate else None
+
+    def evaluate(draws: tuple[np.ndarray, np.ndarray | None]) -> dict[str, float]:
+        c, u = draws
+        prob_ws = np.empty(min(n, BLOCK))
         out = {}
         if simulate:
-            u = rng.random(n)
+            hit_ws = np.empty(prob_ws.size, dtype=bool)
             for a in (0, 1):
                 # a count of successes, so the mean is exact whatever the blocks
-                p = _block_mean(n, lambda rows: u[rows] < scenario.prob(a, c[rows]))
+                p = _block_mean(n, lambda rows: np.less(
+                    u[rows], scenario.prob(a, c[rows], out=_fit(prob_ws, rows)), out=_fit(hit_ws, rows)))
                 out[f"p{a}"], out[f"p{a}_se"] = p, np.sqrt(p * (1.0 - p) / n)
         else:
             for a in (0, 1):
-                out[f"p{a}"], out[f"p{a}_se"] = _block_mean_se(n, lambda rows: scenario.prob(a, c[rows]))
+                out[f"p{a}"], out[f"p{a}_se"] = _block_mean_se(
+                    n, lambda rows: scenario.prob(a, c[rows], out=_fit(prob_ws, rows)))
         out["odds_ratio"] = _odds_ratio(out["p1"], out["p0"])
         return out
 
-    cols, seconds = _run_reps(rep, cfg, jobs)
-    return {k: _summarize(k, cols[k], seconds, cfg, within=cols.get(f"{k}_se"), interval=interval)
+    cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
+    return {k: _summarize(k, cols[k], seconds, draw_seconds, cfg, within=cols.get(f"{k}_se"),
+                          interval=interval)
             for k in ("p0", "p1", "odds_ratio")}
 
 
@@ -226,23 +286,36 @@ def mc_cde(scenario: CDEScenario, cfg: MCConfig, jobs: int = 1,
     lm = scenario.l_model
     n = cfg.n_samples
 
-    def rep(rng: np.random.Generator) -> dict[str, float]:
-        c = scenario.c_dist.draw(rng, n)
-        u = scenario.u_dist.draw(rng, n)
-        eps = rng.normal(0.0, np.sqrt(lm.sigma2), n)
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (scenario.c_dist.draw(rng, n), scenario.u_dist.draw(rng, n),
+                rng.normal(0.0, np.sqrt(lm.sigma2), n))
+
+    def evaluate(draws: tuple[np.ndarray, np.ndarray, np.ndarray]) -> dict[str, float]:
+        c, u, eps = draws
+        ell_ws, lin_ws = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
 
         def outcome(rows: slice, a: int) -> np.ndarray:
-            ell = lm.intercept + lm.a_coef * a + lm.u_coef * u[rows] + eps[rows]
-            lin = b0 + b1 * a + b2 * scenario.m + b3 * c[rows] + b4 * ell + b5 * u[rows]
-            return scenario.inverse_link(lin)
+            # ell = intercept + a_coef a + u_coef u + eps and
+            # lin = b0 + b1 a + b2 m + b3 c + b4 ell + b5 u, each summed left to right
+            ell, lin = _fit(ell_ws, rows), _fit(lin_ws, rows)
+            np.multiply(u[rows], lm.u_coef, out=ell)
+            ell += lm.intercept + lm.a_coef * a
+            ell += eps[rows]
+            np.multiply(c[rows], b3, out=lin)
+            lin += b0 + b1 * a + b2 * scenario.m
+            ell *= b4
+            lin += ell
+            np.multiply(u[rows], b5, out=ell)
+            lin += ell
+            return scenario.inverse_link(lin, out=lin)
 
         out = {label: _block_mean(n, lambda rows: outcome(rows, a))
                for label, a in (("mean_a", scenario.a), ("mean_a_star", scenario.a_star))}
         out["cde"] = out["mean_a"] - out["mean_a_star"]
         return out
 
-    cols, seconds = _run_reps(rep, cfg, jobs)
-    return {k: _summarize(k, v, seconds, cfg, interval=interval) for k, v in cols.items()}
+    cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
+    return {k: _summarize(k, v, seconds, draw_seconds, cfg, interval=interval) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +332,24 @@ def mc_rmst_mediation(scenario: RMSTScenario, cfg: MCConfig, jobs: int = 1,
     """
     n = cfg.n_samples
 
-    def rep(rng: np.random.Generator) -> dict[str, float]:
-        m1 = rng.normal(scenario.mu1, 1.0, n)
-        m0 = rng.normal(scenario.mu0, 1.0, n)
-        mu11, mu00, mu10 = (
-            _block_mean(n, lambda rows: rmst_from_log_rate(scenario.tau, scenario.log_rate(a, m[rows])))
-            for a, m in ((1, m1), (0, m0), (1, m0)))
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        return rng.normal(scenario.mu1, 1.0, n), rng.normal(scenario.mu0, 1.0, n)
+
+    def evaluate(draws: tuple[np.ndarray, np.ndarray]) -> dict[str, float]:
+        m1, m0 = draws
+        rate_ws = np.empty(min(n, BLOCK))
+
+        def arm_rmst(rows: slice, a: int, m: np.ndarray) -> np.ndarray:
+            log_rate = scenario.log_rate(a, m[rows], out=_fit(rate_ws, rows))
+            return rmst_from_log_rate(scenario.tau, log_rate, out=log_rate)
+
+        mu11, mu00, mu10 = (_block_mean(n, lambda rows: arm_rmst(rows, a, m))
+                            for a, m in ((1, m1), (0, m0), (1, m0)))
         return {"mu11": mu11, "mu00": mu00, "mu10": mu10,
                 "TE": mu11 - mu00, "NDE": mu10 - mu00, "NIE": mu11 - mu10}
 
-    cols, seconds = _run_reps(rep, cfg, jobs)
-    return {k: _summarize(k, v, seconds, cfg, interval=interval) for k, v in cols.items()}
+    cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
+    return {k: _summarize(k, v, seconds, draw_seconds, cfg, interval=interval) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +364,25 @@ def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
     Per repetition the mediator draws are shared across time points and arm
     combinations, and each ratio is formed by plug-in from the rep's own
     density and survival means.  Keys are (effect, t).  Each block evaluates
-    the survival at every t at once, so it holds a (len(t), BLOCK) array.
+    the survival at every t at once, into a (len(t), block) workspace.
     """
     ts = _check_t(t_values if t_values is not None else scenario.t_grid)
+    t_col = ts[:, None]
     n = cfg.n_samples
 
-    def rep(rng: np.random.Generator) -> dict[tuple[str, float], float]:
-        m0 = rng.normal(scenario.mediator_mean(0), 1.0, n)
-        m1 = rng.normal(scenario.mediator_mean(1), 1.0, n)
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        return rng.normal(scenario.mediator_mean(0), 1.0, n), rng.normal(scenario.mediator_mean(1), 1.0, n)
+
+    def evaluate(draws: tuple[np.ndarray, np.ndarray]) -> dict[tuple[str, float], float]:
+        m0, m1 = draws
+        z_ws, s_ws = np.empty(min(n, BLOCK)), np.empty(ts.size * min(n, BLOCK))
         haz = {}
         for arms, m in (((1, 0), m0), ((0, 0), m0), ((1, 1), m1)):
             # the hazard is h0(t) * sum(z S) / sum(S), with S of shape (len(t), block)
             zs_sum = s_sum = 0.0
             for rows in blocks(n):
-                z = scenario._scale_factor(arms[0], m[rows])
-                s = scenario._survival(ts[:, None], z)
+                z = scenario._scale_factor(arms[0], m[rows], out=_fit(z_ws, rows))
+                s = scenario._survival(t_col, z, out=s_ws[: ts.size * z.size].reshape(ts.size, z.size))
                 zs_sum = zs_sum + s @ z
                 s_sum = s_sum + s.sum(axis=1)
             haz[arms] = scenario._baseline_hazard(ts) * zs_sum / s_sum
@@ -309,8 +393,8 @@ def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
             out[("TE", float(t))] = haz[1, 1][i] / haz[0, 0][i]
         return out
 
-    cols, seconds = _run_reps(rep, cfg, jobs)
-    return {k: _summarize(f"{k[0]}(t={k[1]:g})", v, seconds, cfg, interval=interval)
+    cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
+    return {k: _summarize(f"{k[0]}(t={k[1]:g})", v, seconds, draw_seconds, cfg, interval=interval)
             for k, v in cols.items()}
 
 

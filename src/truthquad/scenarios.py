@@ -114,15 +114,19 @@ class ConfoundingScenario:
     def dim(self) -> int:
         return self.beta2.size
 
-    def linear(self, a: int, c: np.ndarray) -> np.ndarray:
+    def linear(self, a: int, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """beta0 + beta1 a + beta2' c, into ``out`` when given: the scalar shift is added last."""
         c = np.asarray(c, dtype=float)
         if self.dim == 1 and c.ndim <= 1:
-            return self.beta0 + self.beta1 * a + self.beta2[0] * c
-        return self.beta0 + self.beta1 * a + c @ self.beta2
+            lin = np.multiply(c, self.beta2[0], out=out)
+        else:
+            lin = np.matmul(c, self.beta2, out=out)
+        lin += self.beta0 + self.beta1 * a
+        return lin
 
-    def prob(self, a: int, c: np.ndarray) -> np.ndarray:
-        """Conditional outcome probability expit(beta0 + beta1 a + beta2' c)."""
-        return expit(self.linear(a, c))
+    def prob(self, a: int, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Conditional outcome probability expit(beta0 + beta1 a + beta2' c), into ``out`` when given."""
+        return expit(self.linear(a, c, out), out=out)
 
     def draw_confounders(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if isinstance(self.confounders, MVNormal):
@@ -220,8 +224,14 @@ class CDEScenario:
             raise ValidationError("a and a_star must differ")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
 
-    def inverse_link(self, lin: np.ndarray) -> np.ndarray:
-        return lin if self.link == "identity" else expit(lin)
+    def inverse_link(self, lin: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """g^{-1}(lin); with ``out`` (which may be ``lin`` itself) the result is written there."""
+        if self.link == "logit":
+            return expit(lin, out=out)
+        if out is None or out is lin:
+            return lin
+        np.copyto(out, lin)
+        return out
 
     def joint_ul(self, a: int) -> CovSpec:
         """Mean and covariance of (U, L) given treatment a."""
@@ -284,33 +294,43 @@ class RMSTScenario:
     def mediator_mean(self, a: int) -> float:
         return self.mu1 if a == 1 else self.mu0
 
-    def log_rate(self, a: int, m: np.ndarray) -> np.ndarray:
-        return self.beta0 + a * self.beta_a + np.asarray(m, dtype=float) * self.beta_m
+    def log_rate(self, a: int, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """beta0 + a beta_a + m beta_m, into ``out`` when given: the scalar shift is added last."""
+        lin = np.multiply(np.asarray(m, dtype=float), self.beta_m, out=out)
+        lin += self.beta0 + a * self.beta_a
+        return lin
 
 
-def rmst(tau: float, lam) -> float | np.ndarray:
+def rmst(tau: float, lam, out: np.ndarray | None = None) -> float | np.ndarray:
     """Restricted mean survival time of an exponential: (1 - exp(-lam*tau)) / lam.
 
     Uses expm1 so small and large rates both evaluate without cancellation or
     overflow.  A zero rate (e.g. exp of a very negative log-rate) gives the
-    limit tau.
+    limit tau.  With ``out`` the result is written there and ``out`` is
+    returned.
     """
     if not tau > 0.0:
         raise ValidationError(f"tau must be positive, got {tau}")
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0.0):
         raise ValidationError("rate must be non-negative")
-    out = np.divide(-np.expm1(-lam * tau), lam, out=np.full_like(lam, tau), where=lam > 0.0)
-    return float(out) if out.ndim == 0 else out
+    # -expm1(-lam tau) / lam, one buffer updated in place; lam * -tau has the bits of -lam * tau
+    res = np.multiply(lam, -tau, out=np.empty_like(lam) if out is None else out)
+    np.expm1(res, out=res)
+    np.negative(res, out=res)
+    positive = lam > 0.0
+    np.divide(res, lam, out=res, where=positive)
+    np.copyto(res, tau, where=~positive)
+    return float(res) if res.ndim == 0 and out is None else res
 
 
-def rmst_from_log_rate(tau: float, log_rate) -> float | np.ndarray:
-    """``rmst(tau, exp(log_rate))`` without overflow warnings.
+def rmst_from_log_rate(tau: float, log_rate, out: np.ndarray | None = None) -> float | np.ndarray:
+    """``rmst(tau, exp(log_rate))`` without overflow warnings; ``out`` may be ``log_rate`` itself.
 
     An infinite rate gives the limit 0, and one whose product with tau overflows gives 1 / rate.
     """
     with np.errstate(over="ignore"):
-        return rmst(tau, np.exp(log_rate))
+        return rmst(tau, np.exp(log_rate), out=out)
 
 
 def rmst_arm_mean(scenario: RMSTScenario, a: int, a_star: int, level: int) -> float:
@@ -371,14 +391,18 @@ class HRScenario:
     def mediator_mean(self, a: int) -> float:
         return self.alpha0 - self.alpha_a * a
 
-    def _scale_factor(self, a: int, m) -> np.ndarray:
-        return np.exp(self.beta_a * a + self.beta_m * np.asarray(m, dtype=float))
+    def _scale_factor(self, a: int, m, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(beta_a a + beta_m m), into ``out`` when given."""
+        lin = np.multiply(np.asarray(m, dtype=float), self.beta_m, out=out)
+        lin += self.beta_a * a
+        return np.exp(lin, out=out)
 
     def _baseline_hazard(self, t):
         return (self.gamma / self.lam) * (t / self.lam) ** (self.gamma - 1.0)
 
-    def _survival(self, t, z):
-        return np.exp(-((t / self.lam) ** self.gamma) * z)
+    def _survival(self, t, z, out: np.ndarray | None = None):
+        """exp(-(t / lam)^gamma z), broadcast over t and z, into ``out`` when given."""
+        return np.exp(np.multiply(-((t / self.lam) ** self.gamma), z, out=out), out=out)
 
 
 def _check_t(t) -> np.ndarray:

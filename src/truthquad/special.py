@@ -25,24 +25,27 @@ _SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 200
 
 
-def expit(x):
+def expit(x, out=None):
     """Logistic 1 / (1 + e^-x), elementwise; a numpy float for scalar input.
 
     Computed as e^min(x, 0) / (1 + e^-|x|): that is e^x / (1 + e^x) for x < 0
     and 1 / (1 + e^-x) for x >= 0, so no exponent is positive and nothing
-    overflows.  +inf maps to 1, -inf to 0, and NaN passes through.
+    overflows.  +inf maps to 1, -inf to 0, and NaN passes through.  With
+    ``out`` (which may be ``x`` itself) the result is written there and
+    ``out`` is returned, with the same bits as without it.
     """
     x = np.asarray(x, dtype=float)
     # two buffers updated in place: on the 1e6-value MC arrays this is faster
-    # than the one-line form, which allocates seven
-    num = np.minimum(x, 0.0, out=np.empty_like(x))
-    np.exp(num, out=num)
+    # than the one-line form, which allocates seven.  The denominator is
+    # formed first, so that ``out`` may overwrite ``x``.
     den = np.abs(x, out=np.empty_like(x))
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1.0
+    num = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.exp(num, out=num)
     num /= den
-    return num if num.ndim else num[()]
+    return num if num.ndim or out is not None else num[()]
 
 
 def _dilog_series(z: float) -> float:

@@ -1,4 +1,5 @@
 """CLI tests: subcommands, exit codes, config validation, API equivalence."""
+import gc
 import json
 import math
 import os
@@ -14,10 +15,17 @@ from truthquad import Normal, odds_ratio_truth
 from truthquad.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def python(*argv):
+    """A fresh interpreter on this checkout's source."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -308,6 +316,51 @@ class TestConfoundingPasses:
         assert len(calls) == 1
 
 
+class TestJobs:
+    @pytest.mark.parametrize("command", [["compare"], ["mc"], ["mc", "--method", "potential_outcome_sim"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, command, jobs):
+        result = run(*command, "--config", small_confounding_config(tmp_path), "--jobs", jobs)
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.output
+
+    def test_failing_rep_under_threads_exits_3(self, tmp_path):
+        # P(Y=1) rounds to 1 in every draw, so every rep's odds ratio is undefined
+        config = write_config(tmp_path, {
+            "schema_version": 1, "id": "degenerate",
+            "scenario": {**CONFOUNDING, "beta0": 50.0},
+            "method": {"level": 20, "n_samples": 2000, "n_reps": 3, "seed": 7},
+        })
+        result = run("mc", "--config", config, "--jobs", "2")
+        assert result.exit_code == 3
+        assert "degenerate probability" in result.output
+
+
+class TestProcessEntry:
+    def test_in_process_command_leaves_gc_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        result = run("compare", "--config", small_confounding_config(tmp_path), "--jobs", "2")
+        assert result.exit_code == 0, result.output
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_then_dispatches(self, monkeypatch):
+        import truthquad.cli as cli
+
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main"))
+        cli.run()
+        assert calls == ["freeze", "main"]
+
+    def test_module_entry_runs_a_command(self, tmp_path):
+        result = python("-m", "truthquad.cli", "compare", "--config", small_confounding_config(tmp_path),
+                        "--jobs", "2")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert result.stdout.startswith("scenario,estimand,quad_value,")
+        assert len(result.stdout.splitlines()) == 4
+
+
 class TestCompareCommand:
     def test_consistent_z_scores(self, tmp_path):
         config = small_confounding_config(tmp_path)
@@ -409,10 +462,17 @@ class TestExampleConfigs:
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; importing it would add ~0.45 s to every command
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, truthquad, truthquad.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            check=True)
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_thread_pool_logging_or_bench():
+    # concurrent.futures pulls in logging (~6 ms a command); bench is for its two subcommands only
+    code = ("import sys, truthquad.cli; "
+            "print(sorted({'concurrent.futures', 'logging', 'truthquad.bench'} & set(sys.modules)))")
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

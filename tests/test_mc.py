@@ -1,5 +1,8 @@
 """Tests for the Monte Carlo engine: simulation, integration, comparison."""
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from truthquad import (
     RMSTScenario,
     ValidationError,
     compare,
+    expit,
     mc_cde,
     mc_confounding,
     mc_hr_mediation,
@@ -29,8 +33,10 @@ from truthquad import (
     weibull_density,
     weibull_survival,
 )
-from truthquad.mc import BLOCK
-from truthquad.scenarios import TruthResult
+from truthquad.distributions import blocks
+from truthquad.errors import NumericDomainError
+from truthquad.mc import BLOCK, _block_mean, _block_mean_se, _run_reps
+from truthquad.scenarios import TruthResult, _odds_ratio
 
 
 def normal_scenario(beta2=-1.0):
@@ -344,6 +350,231 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * draw_bytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# The references below evaluate each block with fresh arrays, written as the
+# expressions the passes evaluated before they took workspaces, so a changed
+# operation order in a named function shows as changed bits.
+
+def allocating_confounding(scenario, simulate):
+    """One rep of the confounding pass, each block evaluated by allocating calls; key -> (estimate, SE)."""
+    def prob(a, c):
+        if scenario.dim == 1:
+            return expit(scenario.beta0 + scenario.beta1 * a + scenario.beta2[0] * c)
+        return expit(scenario.beta0 + scenario.beta1 * a + c @ scenario.beta2)
+
+    def rep(rng, n):
+        c = scenario.draw_confounders(rng, n)
+        u = rng.random(n) if simulate else None
+        out = {}
+        for a in (0, 1):
+            if simulate:
+                p = _block_mean(n, lambda rows: u[rows] < prob(a, c[rows]))
+                out[f"p{a}"] = (p, np.sqrt(p * (1.0 - p) / n))
+            else:
+                out[f"p{a}"] = _block_mean_se(n, lambda rows: prob(a, c[rows]))
+        out["odds_ratio"] = (_odds_ratio(out["p1"][0], out["p0"][0]), None)
+        return out
+    return rep
+
+
+def allocating_cde(scenario):
+    b0, b1, b2, b3, b4, b5 = scenario.beta
+    lm = scenario.l_model
+
+    def rep(rng, n):
+        c = scenario.c_dist.draw(rng, n)
+        u = scenario.u_dist.draw(rng, n)
+        eps = rng.normal(0.0, np.sqrt(lm.sigma2), n)
+
+        def outcome(rows, a):
+            ell = lm.intercept + lm.a_coef * a + lm.u_coef * u[rows] + eps[rows]
+            lin = b0 + b1 * a + b2 * scenario.m + b3 * c[rows] + b4 * ell + b5 * u[rows]
+            return lin if scenario.link == "identity" else expit(lin)
+
+        out = {label: _block_mean(n, lambda rows: outcome(rows, a))
+               for label, a in (("mean_a", scenario.a), ("mean_a_star", scenario.a_star))}
+        out["cde"] = out["mean_a"] - out["mean_a_star"]
+        return {k: (v, None) for k, v in out.items()}
+    return rep
+
+
+def allocating_rmst(scenario):
+    tau = scenario.tau
+
+    def arm_rmst(a, m):
+        with np.errstate(over="ignore"):
+            lam = np.exp(scenario.beta0 + a * scenario.beta_a + m * scenario.beta_m)
+            return np.divide(-np.expm1(-lam * tau), lam, out=np.full_like(lam, tau), where=lam > 0.0)
+
+    def rep(rng, n):
+        m1 = rng.normal(scenario.mu1, 1.0, n)
+        m0 = rng.normal(scenario.mu0, 1.0, n)
+        mu11, mu00, mu10 = (_block_mean(n, lambda rows: arm_rmst(a, m[rows]))
+                            for a, m in ((1, m1), (0, m0), (1, m0)))
+        est = {"mu11": mu11, "mu00": mu00, "mu10": mu10,
+               "TE": mu11 - mu00, "NDE": mu10 - mu00, "NIE": mu11 - mu10}
+        return {k: (v, None) for k, v in est.items()}
+    return rep
+
+
+def allocating_hr(scenario):
+    ts = np.asarray(HR_TIMES)
+
+    def rep(rng, n):
+        m0 = rng.normal(scenario.mediator_mean(0), 1.0, n)
+        m1 = rng.normal(scenario.mediator_mean(1), 1.0, n)
+        haz = {}
+        for arms, m in (((1, 0), m0), ((0, 0), m0), ((1, 1), m1)):
+            zs_sum = s_sum = 0.0
+            for rows in blocks(n):
+                z = np.exp(scenario.beta_a * arms[0] + scenario.beta_m * m[rows])
+                s = np.exp(-((ts[:, None] / scenario.lam) ** scenario.gamma) * z)
+                zs_sum = zs_sum + s @ z
+                s_sum = s_sum + s.sum(axis=1)
+            haz[arms] = scenario._baseline_hazard(ts) * zs_sum / s_sum
+        out = {}
+        for i, t in enumerate(HR_TIMES):
+            out[("NDE", t)] = (haz[1, 0][i] / haz[0, 0][i], None)
+            out[("NIE", t)] = (haz[1, 1][i] / haz[1, 0][i], None)
+            out[("TE", t)] = (haz[1, 1][i] / haz[0, 0][i], None)
+        return out
+    return rep
+
+
+#: name -> one rep of the same blocked pass, each block evaluated with fresh arrays
+ALLOCATING = {
+    "confounding": allocating_confounding(normal_scenario(), False),
+    "confounding_mvnormal": allocating_confounding(bivariate_scenario(), False),
+    "confounding_simulate": allocating_confounding(normal_scenario(), True),
+    "cde": allocating_cde(CDE_LOGIT),
+    "rmst": allocating_rmst(RMSTScenario()),
+    "hr": allocating_hr(HRScenario()),
+}
+
+
+class TestInPlaceKernels:
+    """Workspace evaluation gives the bits of allocating evaluation, block by block."""
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_same_bits_as_allocating_blocks(self, name):
+        run, _, _ = PASSES[name]
+        n = 3 * BLOCK + 7
+        cfg = MCConfig(n, 2, 2718)
+        summaries = run(cfg, 1)
+        for r in range(cfg.n_reps):
+            expected = ALLOCATING[name](np.random.default_rng(cfg.seed_base + r), n)
+            assert list(summaries) == list(expected)
+            for key, (estimate, se) in expected.items():
+                assert summaries[key].estimates[r] == estimate, key
+                if se is not None:
+                    assert summaries[key].within_rep_se[r] == se, key
+
+    @pytest.mark.parametrize("name", sorted(set(PASSES) - {"confounding_simulate"}))
+    def test_same_bits_as_allocating_values(self, name):
+        # with one draw per rep an estimate is one evaluated value, so a changed
+        # operation order shows in its last bits instead of averaging away
+        run, _, _ = PASSES[name]
+        cfg = MCConfig(1, 64, 31)
+        summaries = run(cfg, 1)
+        for r in range(cfg.n_reps):
+            expected = ALLOCATING[name](np.random.default_rng(cfg.seed_base + r), 1)
+            for key, (estimate, _) in expected.items():
+                assert summaries[key].estimates[r] == estimate, (key, r)
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_draw_seconds_are_part_of_rep_seconds(self, name):
+        run, _, _ = PASSES[name]
+        for summary in run(MCConfig(BLOCK + 1, 3, 8), 2).values():
+            assert summary.draw_seconds.shape == summary.rep_seconds.shape == (3,)
+            assert np.all(summary.draw_seconds > 0.0)
+            assert np.all(summary.draw_seconds <= summary.rep_seconds)
+
+    def test_draw_seconds_exclude_evaluation(self):
+        def draw(rng):
+            time.sleep(0.02)
+
+        def evaluate(draws):
+            time.sleep(0.04)
+            return {"x": 0.0}
+
+        _, seconds, draw_seconds = _run_reps(draw, evaluate, MCConfig(10, 2, 1), 2)
+        assert np.all(draw_seconds >= 0.02)
+        assert np.all(seconds - draw_seconds >= 0.04)
+
+
+def seed_of(rng):
+    """A stand-in draw: the seed of the repetition's stream."""
+    return rng.bit_generator.seed_seq.entropy
+
+
+class TestThreadMap:
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValidationError, match="jobs must be >= 1"):
+                mc_confounding(normal_scenario(), MCConfig(100, 2, 1), jobs=jobs)
+
+    def test_one_thread_per_rep_at_most(self, monkeypatch):
+        cfg = MCConfig(1000, 3, 17)
+        sequential = mc_confounding(normal_scenario(), cfg, jobs=1)
+        created = []
+
+        class CountingThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                created.append(1)
+                if len(created) > cfg.n_reps:
+                    raise AssertionError("more threads than repetitions")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        threaded = mc_confounding(normal_scenario(), cfg, jobs=10**6)
+        assert len(created) == cfg.n_reps
+        for key, summary in sequential.items():
+            assert summary.same_estimates(threaded[key])
+
+    def test_single_job_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(threading, "Thread", refuse)
+        mc_confounding(normal_scenario(), MCConfig(100, 3, 1), jobs=1)
+        mc_confounding(normal_scenario(), MCConfig(100, 1, 1), jobs=4)
+
+    def test_every_rep_runs_once_under_contention(self):
+        cfg = MCConfig(10, 300, 1000)
+        seen = []
+
+        def evaluate(seed):
+            seen.append(seed)
+            return {"x": float(seed)}
+
+        result = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.update(out=_run_reps(seed_of, evaluate, cfg, 8)))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        expected = cfg.seed_base + np.arange(cfg.n_reps)
+        assert sorted(seen) == list(expected)
+        np.testing.assert_array_equal(result["out"][0]["x"], expected)
+
+    def test_first_failed_rep_is_reraised(self):
+        cfg = MCConfig(10, 6, 100)
+
+        def evaluate(seed):
+            rep = seed - cfg.seed_base
+            if rep in (1, 2, 4):
+                if rep == 1:
+                    time.sleep(0.05)  # so that with threads, later reps fail first
+                raise NumericDomainError(f"rep {rep} failed")
+            return {"x": float(rep)}
+
+        for jobs in (1, 2, 3):
+            with pytest.raises(NumericDomainError, match="rep 1 failed"):
+                _run_reps(seed_of, evaluate, cfg, jobs)
 
 
 class TestCompare:

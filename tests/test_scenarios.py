@@ -158,6 +158,16 @@ class TestCDE:
         np.testing.assert_allclose(spec.mean, [3.0, 16.3], rtol=1e-15)
         np.testing.assert_allclose(spec.covariance, [[1.0, 0.1], [0.1, 1.01]], rtol=1e-15)
 
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
+    def test_inverse_link_out_gives_the_same_bytes(self, link, in_place):
+        scenario = CDEScenario(link=link)
+        lin = np.array([-800.0, -1.5, 0.0, 2.0, 40.0, np.inf])
+        expected = scenario.inverse_link(lin.copy()).tobytes()
+        buf = lin if in_place else np.full_like(lin, 7.0)
+        assert scenario.inverse_link(lin, out=buf) is buf
+        assert buf.tobytes() == expected
+
     def test_same_arms_rejected(self):
         with pytest.raises(ValidationError, match="differ"):
             CDEScenario(a=1, a_star=1)
@@ -201,6 +211,20 @@ class TestRMST:
         np.testing.assert_array_equal(out[:5], expected)
         assert out[0] == 3.0 and out[4] > 0.0
         np.testing.assert_array_equal(out[5:], [0.0, 0.0])
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
+    def test_from_log_rate_out_gives_the_same_bytes(self, in_place):
+        log_rate = np.array([-np.inf, -800.0, -1.0, 0.0, 3.0, 709.0, 710.0, 750.0, np.inf])
+        expected = rmst_from_log_rate(3.0, log_rate).tobytes()
+        buf = log_rate.copy() if in_place else np.full_like(log_rate, 7.0)
+        assert rmst_from_log_rate(3.0, buf if in_place else log_rate, out=buf) is buf
+        assert buf.tobytes() == expected
+
+    @pytest.mark.parametrize("log_rate", [-np.inf, -800.0, 0.0, 750.0, np.inf])
+    def test_from_log_rate_scalar_out_gives_the_same_bytes(self, log_rate):
+        buf = np.empty(())
+        assert rmst_from_log_rate(3.0, log_rate, out=buf) is buf
+        assert buf.tobytes() == np.float64(rmst_from_log_rate(3.0, log_rate)).tobytes()
 
     def test_intermediate_te_rate(self):
         scenario = RMSTScenario()

@@ -47,6 +47,20 @@ class TestExpit:
         assert isinstance(expit(1.2), float)
         assert expit(np.array([0.0, 1.0])).shape == (2,)
 
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
+    def test_out_gives_the_same_bytes(self, in_place):
+        xs = np.array([0.0, -0.0, 750.0, -750.0, np.inf, -np.inf, np.nan, 1.5, -36.7])
+        expected = expit(xs).tobytes()
+        buf = xs.copy() if in_place else np.full_like(xs, 7.0)
+        assert expit(buf if in_place else xs, out=buf) is buf
+        assert buf.tobytes() == expected
+
+    @pytest.mark.parametrize("x", [0.0, 750.0, -750.0, np.inf, -np.inf, np.nan, -1.25])
+    def test_scalar_out_gives_the_same_bytes(self, x):
+        buf = np.empty(())
+        assert expit(x, out=buf) is buf
+        assert buf.tobytes() == np.float64(expit(x)).tobytes()
+
     def test_matches_scipy_on_grid(self):
         xs = np.linspace(-50.0, 50.0, 100001)
         np.testing.assert_allclose(expit(xs), scipy_expit(xs), rtol=1e-15, atol=0.0)
