@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import MVNormal
 from .errors import ValidationError
-from .grids import Decomposition
+from .grids import DEFAULT_POINT_BUDGET, Decomposition
 from .mc import MCConfig, mc_odds_ratio
 from .scenarios import ConfoundingScenario, marginal_prob, odds_ratio_truth, scenario_for_case
 from .special import ClosedFormCase, closed_form_odds_ratio
@@ -33,7 +33,7 @@ class SweepSpec:
     mc_reps: int = 100
     timing_reps: int = 20
     seed_base: int = 20_200_501
-    point_budget: int = 10_000_000
+    point_budget: int = DEFAULT_POINT_BUDGET
 
     def __post_init__(self) -> None:
         for name, values in (("k_values", self.k_values), ("dims", self.dims)):
@@ -154,13 +154,3 @@ def dimension_csv(rows: Sequence[SweepRow]) -> str:
             format(row.seconds, ".17g") if row.seconds is not None else "skipped",
         ]))
     return "\n".join(lines) + "\n"
-
-
-def write_convergence_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(convergence_csv(rows))
-
-
-def write_dimension_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(dimension_csv(rows))

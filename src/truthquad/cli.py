@@ -322,17 +322,14 @@ def compare(config_path, seed, jobs, out):
 
     lines = ["scenario,estimand,quad_value,mc_mean,mc_sd,mc_se,pi_lower,pi_upper,"
              "abs_diff,rel_diff,z_score,inside_interval,mc_seconds_per_rep"]
-    for name, summary in summaries.items():
-        if name not in components:
-            continue
-        scalar = TruthResult(estimand=name, value=components[name], method=result.method,
-                             level=result.level, decomposition=result.decomposition)
-        record = compare_results(scalar, summary, key=name)
+    for name, s in summaries.items():
+        quad_value = components[name]
+        record = compare_results(quad_value, s)
         lines.append(
-            f"{config.config_id},{name},{_fmt(record.quad_value)},{_fmt(record.mc_mean)},"
-            f"{_fmt(record.mc_sd)},{_fmt(record.mc_se)},{_fmt(record.interval[0])},"
-            f"{_fmt(record.interval[1])},{_fmt(record.abs_diff)},{_fmt(record.rel_diff)},"
-            f"{_fmt(record.z_score)},{record.inside_interval},{_fmt(summary.seconds_per_rep)}"
+            f"{config.config_id},{name},{_fmt(quad_value)},{_fmt(s.mean)},{_fmt(s.sd)},"
+            f"{_fmt(s.se_of_mean)},{_fmt(s.interval[0])},{_fmt(s.interval[1])},"
+            f"{_fmt(record.abs_diff)},{_fmt(record.rel_diff)},{_fmt(record.z_score)},"
+            f"{record.inside_interval},{_fmt(s.seconds_per_rep)}"
         )
     _emit("\n".join(lines) + "\n", out)
 

@@ -106,13 +106,13 @@ def _parse_cde(obj: dict, path: str) -> CDEScenario:
     if l_obj is None:
         l_model = defaults.l_model
     else:
-        _check_keys(l_obj, {"intercept", "a_coef", "u_coef", "sigma2"}, set(), f"{path}.l")
-        l_path = f"{path}.l"
+        l_path, d = f"{path}.l", defaults.l_model
+        _check_keys(l_obj, {"intercept", "a_coef", "u_coef", "sigma2"}, set(), l_path)
         l_model = LModel(
-            intercept=_number(l_obj, "intercept", l_path, 15.0),
-            a_coef=_number(l_obj, "a_coef", l_path, 1.0),
-            u_coef=_number(l_obj, "u_coef", l_path, 0.1),
-            sigma2=_number(l_obj, "sigma2", l_path, 1.0),
+            intercept=_number(l_obj, "intercept", l_path, d.intercept),
+            a_coef=_number(l_obj, "a_coef", l_path, d.a_coef),
+            u_coef=_number(l_obj, "u_coef", l_path, d.u_coef),
+            sigma2=_number(l_obj, "sigma2", l_path, d.sigma2),
         )
     return CDEScenario(
         link=obj.get("link", defaults.link),

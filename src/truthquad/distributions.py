@@ -200,7 +200,6 @@ class MVNormal:
 
 
 Dist = Union[Normal, Uniform, Exponential, Gamma, MVNormal]
-UNIVARIATE_FAMILIES = ("normal", "uniform", "exponential", "gamma")
 
 
 def pdf(dist: Dist, x):

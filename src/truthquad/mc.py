@@ -24,8 +24,9 @@ operation order of their allocating forms, so a block's values are the same
 bits either way.  ``MCSummary.draw_seconds`` records the part of each
 repetition's time spent drawing; the rest is evaluation.
 
-Prediction intervals are empirical 2.5/97.5 percentiles of the per-rep
-estimates by default; ``interval="normal"`` switches to mean +/- 1.96 sd.
+Each estimand's repetitions are summarized in one ``MCSummary``; its
+prediction interval is the empirical 2.5/97.5 percentiles of the per-rep
+estimates.  ``compare`` sets a quadrature value against a summary.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ from .scenarios import (
     ConfoundingScenario,
     HRScenario,
     RMSTScenario,
-    TruthResult,
     _check_t,
     _odds_ratio,
     rmst_from_log_rate,
@@ -89,17 +89,12 @@ class MCSummary:
 
 
 def _summarize(estimand: str, estimates: np.ndarray, seconds: np.ndarray, draw_seconds: np.ndarray,
-               cfg: MCConfig, within: np.ndarray | None = None, interval: str = "empirical") -> MCSummary:
+               cfg: MCConfig, within: np.ndarray | None = None) -> MCSummary:
     estimates = np.asarray(estimates, dtype=float)
     seconds = np.asarray(seconds, dtype=float)
     mean = float(estimates.mean())
     sd = float(estimates.std(ddof=1)) if estimates.size > 1 else 0.0
-    if interval == "empirical":
-        lo, hi = np.percentile(estimates, [2.5, 97.5])
-    elif interval == "normal":
-        lo, hi = mean - 1.96 * sd, mean + 1.96 * sd
-    else:
-        raise ValidationError(f"interval must be 'empirical' or 'normal', got {interval!r}")
+    lo, hi = np.percentile(estimates, [2.5, 97.5])
     return MCSummary(
         estimand=estimand,
         estimates=estimates,
@@ -213,7 +208,7 @@ def _block_mean_se(n: int, values: Callable[[slice], np.ndarray]) -> tuple[float
 # ---------------------------------------------------------------------------
 
 def mc_confounding(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1,
-                   interval: str = "empirical", simulate: bool = False) -> dict[str, MCSummary]:
+                   simulate: bool = False) -> dict[str, MCSummary]:
     """P(Y^0=1), P(Y^1=1) and their plug-in odds ratio from one pass of draws.
 
     Per repetition the confounders are drawn once and serve both arms and the
@@ -246,41 +241,35 @@ def mc_confounding(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1,
         return out
 
     cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
-    return {k: _summarize(k, cols[k], seconds, draw_seconds, cfg, within=cols.get(f"{k}_se"),
-                          interval=interval)
+    return {k: _summarize(k, cols[k], seconds, draw_seconds, cfg, within=cols.get(f"{k}_se"))
             for k in ("p0", "p1", "odds_ratio")}
 
 
-def potential_outcome_sim(scenario: ConfoundingScenario, a: int, cfg: MCConfig,
-                          jobs: int = 1, interval: str = "empirical") -> MCSummary:
+def potential_outcome_sim(scenario: ConfoundingScenario, a: int, cfg: MCConfig, jobs: int = 1) -> MCSummary:
     """Simulated Bernoulli potential outcomes under arm ``a``, averaged per repetition."""
-    return mc_confounding(scenario, cfg, jobs, interval, simulate=True)[f"p{a}"]
+    return mc_confounding(scenario, cfg, jobs, simulate=True)[f"p{a}"]
 
 
-def po_odds_ratio(scenario: ConfoundingScenario, cfg: MCConfig,
-                  jobs: int = 1, interval: str = "empirical") -> MCSummary:
+def po_odds_ratio(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1) -> MCSummary:
     """Plug-in odds ratio from potential-outcome simulation (shared draws per rep)."""
-    return mc_confounding(scenario, cfg, jobs, interval, simulate=True)["odds_ratio"]
+    return mc_confounding(scenario, cfg, jobs, simulate=True)["odds_ratio"]
 
 
-def mc_marginal_prob(scenario: ConfoundingScenario, a: int, cfg: MCConfig,
-                     jobs: int = 1, interval: str = "empirical") -> MCSummary:
+def mc_marginal_prob(scenario: ConfoundingScenario, a: int, cfg: MCConfig, jobs: int = 1) -> MCSummary:
     """MC integration of the marginal probability under arm ``a``."""
-    return mc_confounding(scenario, cfg, jobs, interval)[f"p{a}"]
+    return mc_confounding(scenario, cfg, jobs)[f"p{a}"]
 
 
-def mc_odds_ratio(scenario: ConfoundingScenario, cfg: MCConfig,
-                  jobs: int = 1, interval: str = "empirical") -> MCSummary:
+def mc_odds_ratio(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1) -> MCSummary:
     """Plug-in odds ratio from MC integration; arms share confounder draws."""
-    return mc_confounding(scenario, cfg, jobs, interval)["odds_ratio"]
+    return mc_confounding(scenario, cfg, jobs)["odds_ratio"]
 
 
 # ---------------------------------------------------------------------------
 # CDE scenario
 # ---------------------------------------------------------------------------
 
-def mc_cde(scenario: CDEScenario, cfg: MCConfig, jobs: int = 1,
-           interval: str = "empirical") -> dict[str, MCSummary]:
+def mc_cde(scenario: CDEScenario, cfg: MCConfig, jobs: int = 1) -> dict[str, MCSummary]:
     """MC integration of both CDE arm means; exogenous draws shared across arms."""
     b0, b1, b2, b3, b4, b5 = scenario.beta
     lm = scenario.l_model
@@ -315,15 +304,14 @@ def mc_cde(scenario: CDEScenario, cfg: MCConfig, jobs: int = 1,
         return out
 
     cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
-    return {k: _summarize(k, v, seconds, draw_seconds, cfg, interval=interval) for k, v in cols.items()}
+    return {k: _summarize(k, v, seconds, draw_seconds, cfg) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
 # RMST scenario (the pseudocode of the MC-integration algorithm, per repetition)
 # ---------------------------------------------------------------------------
 
-def mc_rmst_mediation(scenario: RMSTScenario, cfg: MCConfig, jobs: int = 1,
-                      interval: str = "empirical") -> dict[str, MCSummary]:
+def mc_rmst_mediation(scenario: RMSTScenario, cfg: MCConfig, jobs: int = 1) -> dict[str, MCSummary]:
     """MC integration of the RMST mediation estimands.
 
     Per repetition: draw N mediators under each arm, evaluate the expected
@@ -349,16 +337,15 @@ def mc_rmst_mediation(scenario: RMSTScenario, cfg: MCConfig, jobs: int = 1,
                 "TE": mu11 - mu00, "NDE": mu10 - mu00, "NIE": mu11 - mu10}
 
     cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
-    return {k: _summarize(k, v, seconds, draw_seconds, cfg, interval=interval) for k, v in cols.items()}
+    return {k: _summarize(k, v, seconds, draw_seconds, cfg) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
 # HR scenario
 # ---------------------------------------------------------------------------
 
-def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
-                    t_values: Sequence[float] | None = None, jobs: int = 1,
-                    interval: str = "empirical") -> dict[tuple[str, float], MCSummary]:
+def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig, t_values: Sequence[float] | None = None,
+                    jobs: int = 1) -> dict[tuple[str, float], MCSummary]:
     """Per-time-point hazard-ratio effects by MC integration.
 
     Per repetition the mediator draws are shared across time points and arm
@@ -394,8 +381,7 @@ def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
         return out
 
     cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
-    return {k: _summarize(f"{k[0]}(t={k[1]:g})", v, seconds, draw_seconds, cfg, interval=interval)
-            for k, v in cols.items()}
+    return {k: _summarize(f"{k[0]}(t={k[1]:g})", v, seconds, draw_seconds, cfg) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -404,47 +390,19 @@ def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig,
 
 @dataclass(frozen=True)
 class Comparison:
-    """Quadrature value against an MC summary for the same estimand."""
+    """How far a quadrature value lies from an MC summary of the same estimand."""
 
-    estimand: str
-    quad_value: float
-    mc_mean: float
-    mc_sd: float
-    mc_se: float
-    interval: tuple[float, float]
     abs_diff: float
     rel_diff: float
     z_score: float
     inside_interval: bool
 
 
-def compare(quad: TruthResult, mc: MCSummary, key: str | None = None) -> Comparison:
-    """Absolute/relative gaps, SE-normalized z-score, and interval membership.
-
-    ``key`` selects a component when the quadrature result is a map; it
-    defaults to the MC summary's estimand name.
-    """
-    components = quad.components()
-    key = key if key is not None else mc.estimand
-    if key not in components:
-        raise ValidationError(
-            f"estimand mismatch: quadrature result {quad.estimand!r} has components "
-            f"{sorted(components)}, MC summary is for {mc.estimand!r}"
-        )
-    qv = components[key]
-    abs_diff = abs(qv - mc.mean)
-    rel_diff = abs_diff / abs(qv) if qv != 0.0 else float("inf") if abs_diff else 0.0
-    z = (qv - mc.mean) / mc.se_of_mean if mc.se_of_mean > 0.0 else float("inf") if abs_diff else 0.0
+def compare(quad_value: float, mc: MCSummary) -> Comparison:
+    """Absolute/relative gaps, SE-normalized z-score, and prediction-interval membership."""
+    abs_diff = abs(quad_value - mc.mean)
+    rel_diff = abs_diff / abs(quad_value) if quad_value != 0.0 else float("inf") if abs_diff else 0.0
+    z = (quad_value - mc.mean) / mc.se_of_mean if mc.se_of_mean > 0.0 else float("inf") if abs_diff else 0.0
     lo, hi = mc.interval
-    return Comparison(
-        estimand=key,
-        quad_value=qv,
-        mc_mean=mc.mean,
-        mc_sd=mc.sd,
-        mc_se=mc.se_of_mean,
-        interval=mc.interval,
-        abs_diff=abs_diff,
-        rel_diff=rel_diff,
-        z_score=float(z),
-        inside_interval=bool(lo <= qv <= hi),
-    )
+    return Comparison(abs_diff=abs_diff, rel_diff=rel_diff, z_score=float(z),
+                      inside_interval=bool(lo <= quad_value <= hi))

@@ -35,38 +35,24 @@ Confounders = Union[tuple, MVNormal]
 
 @dataclass(frozen=True)
 class TruthResult:
-    """A computed estimand with method metadata.
+    """A quadrature truth: named components (e.g. p0/p1/odds_ratio) with method metadata.
 
-    ``value`` holds either a single number or a map of named components
-    (e.g. p0/p1/odds_ratio).  Quadrature and closed-form results carry no
-    standard error; Monte Carlo results always do.
+    ``series`` holds per-time-point arrays for the HR truth.  Monte Carlo
+    results are ``mc.MCSummary`` records, one per estimand.
     """
 
     estimand: str
-    value: float | Mapping[str, float]
+    value: Mapping[str, float]
     method: str
     level: int | None = None
     decomposition: str | None = None
-    n_samples: int | None = None
-    n_reps: int | None = None
-    se: float | Mapping[str, float] | None = None
-    interval: tuple[float, float] | None = None
     series: Mapping[str, np.ndarray] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        deterministic = self.method in ("quadrature", "closed_form")
-        if deterministic and self.se is not None:
-            raise ValidationError(f"{self.method} results must not carry a standard error")
-        if self.method in ("mc_integration", "potential_outcome_sim") and self.se is None:
-            raise ValidationError(f"{self.method} results must carry a standard error")
-
     def components(self) -> dict[str, float]:
-        if isinstance(self.value, Mapping):
-            return dict(self.value)
-        return {self.estimand: float(self.value)}
+        return dict(self.value)
 
     def __getitem__(self, key: str) -> float:
-        return self.components()[key]
+        return self.value[key]
 
 
 def _odds_ratio(p1: float, p0: float) -> float:

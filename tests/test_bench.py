@@ -8,8 +8,6 @@ from truthquad.bench import (
     convergence_sweep,
     dimension_csv,
     dimension_sweep,
-    write_convergence_csv,
-    write_dimension_csv,
 )
 
 
@@ -72,25 +70,17 @@ class TestDimensionSweep:
 
 
 class TestCsvOutput:
-    def test_convergence_csv_shape(self, tmp_path):
+    def test_convergence_csv_shape(self):
         rows = convergence_sweep(small_spec(k_values=(2, 3, 4)))
-        text = convergence_csv(rows)
-        lines = text.strip().splitlines()
+        lines = convergence_csv(rows).strip().splitlines()
         assert lines[0] == "method,K,n_samples,bias,seconds"
         assert len(lines) == 1 + len(rows)
-        path = tmp_path / "convergence.csv"
-        write_convergence_csv(rows, path)
-        assert path.read_text() == text
 
-    def test_dimension_csv_shape(self, tmp_path):
+    def test_dimension_csv_shape(self):
         rows = dimension_sweep(small_spec(dims=(1, 2)))
-        text = dimension_csv(rows)
-        lines = text.strip().splitlines()
+        lines = dimension_csv(rows).strip().splitlines()
         assert lines[0] == "D,method,seconds"
         assert len(lines) == 1 + len(rows)
-        path = tmp_path / "dimension.csv"
-        write_dimension_csv(rows, path)
-        assert path.read_text() == text
 
     def test_bias_values_not_clamped(self):
         # deep-convergence rows report raw values all the way to the floor

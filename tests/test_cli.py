@@ -246,6 +246,20 @@ class TestConfigValidation:
         assert result.exit_code == 2
         assert "unknown kind" in result.output
 
+    @pytest.mark.parametrize("l_block", [{}, None], ids=["empty", "null"])
+    def test_empty_cde_l_block_gives_defaults(self, l_block):
+        from truthquad import CDEScenario, LModel
+        from truthquad.config import parse_config
+
+        scenario = {"kind": "cde", "beta": [0.0, 8.0, 1.0, 0.5, 4.0, 0.25]}
+
+        def parse(**extra):
+            return parse_config({"schema_version": 1, "id": "cde",
+                                 "scenario": {**scenario, **extra}}).scenario
+
+        assert parse(l=l_block) == parse() == CDEScenario()
+        assert parse(l={"sigma2": 2.0}).l_model == LModel(sigma2=2.0)
+
     def test_wrong_schema_version(self, tmp_path):
         config = write_config(tmp_path, {
             "schema_version": 2, "id": "bad", "scenario": {"kind": "rmst"},
@@ -416,6 +430,18 @@ class TestCompareCommand:
         estimands = {l.split(",")[1] for l in lines[1:]}
         assert len(estimands) == 9  # 3 effects x 3 thinned time points
         assert "NDE(t=0.5)" in estimands
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+    def test_estimands_match_mc_command(self, tmp_path, name):
+        # compare looks each MC estimand up in the truth; a key formatted differently must fail
+        obj = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        obj["method"].update(n_samples=200, n_reps=3)
+        config = write_config(tmp_path, obj)
+        compared, mc = run("compare", "--config", config), run("mc", "--config", config)
+        assert compared.exit_code == 0 and mc.exit_code == 0, compared.output + mc.output
+        compared_names = [l.split(",")[1] for l in compared.output.splitlines()[1:]]
+        mc_names = [l.split(",")[2] for l in mc.output.splitlines()[1:] if ",summary," in l]
+        assert compared_names and compared_names == mc_names
 
 
 class TestBenchCommand:

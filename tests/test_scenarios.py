@@ -120,7 +120,7 @@ class TestOddsRatio:
         result = odds_ratio_truth(normal_scenario(), 8, Decomposition.CHOLESKY)
         assert result.method == "quadrature"
         assert result.level == 8
-        assert result.se is None
+        assert result.decomposition == "cholesky"
 
 
 class TestCDE:
