@@ -32,6 +32,7 @@ from .mc import (
     MCConfig,
     MCSummary,
     compare as compare_results,
+    hr_estimand,
     mc_cde,
     mc_confounding,
     mc_hr_mediation,
@@ -274,13 +275,11 @@ def _mc_csv(config: ScenarioConfig, method_name: str, summaries: dict[str, MCSum
 def mc(config_path, method_name, seed, jobs, out):
     """Run a Monte Carlo baseline; one CSV row per repetition plus a summary row."""
     config = load_config(config_path)
-    n_samples, n_reps, cfg_seed = _resolve_mc(config, seed)
-    cfg = MCConfig(n_samples=n_samples, n_reps=n_reps, seed_base=cfg_seed)
-    summaries = _mc_summaries(config, method_name, cfg, jobs)
+    summaries = _mc_summaries(config, method_name, _resolve_mc(config, seed), jobs)
     _emit(_mc_csv(config, method_name, summaries), out)
 
 
-def _resolve_mc(config: ScenarioConfig, seed_flag: int | None) -> tuple[int, int, int]:
+def _resolve_mc(config: ScenarioConfig, seed_flag: int | None) -> MCConfig:
     method = config.method
     seed = seed_flag if seed_flag is not None else method.seed
     missing = [name for name, v in (("n_samples", method.n_samples),
@@ -291,7 +290,7 @@ def _resolve_mc(config: ScenarioConfig, seed_flag: int | None) -> tuple[int, int
         raise ValidationError(
             f"Monte Carlo runs must be fully specified; missing {', '.join(missing)}"
         )
-    return method.n_samples, method.n_reps, seed
+    return MCConfig(n_samples=method.n_samples, n_reps=method.n_reps, seed_base=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +307,7 @@ def _resolve_mc(config: ScenarioConfig, seed_flag: int | None) -> tuple[int, int
 def compare(config_path, seed, jobs, out):
     """Quadrature truth versus MC integration, one CSV row per estimand."""
     config = load_config(config_path)
-    n_samples, n_reps, cfg_seed = _resolve_mc(config, seed)
-    cfg = MCConfig(n_samples=n_samples, n_reps=n_reps, seed_base=cfg_seed)
+    cfg = _resolve_mc(config, seed)
     result = _compute_truth(config)
     summaries = _mc_summaries(config, "mc_integration", cfg, jobs)
 
@@ -318,7 +316,7 @@ def compare(config_path, seed, jobs, out):
         ts = result.series["t"]
         for effect in ("NDE", "NIE", "TE"):
             for t, v in zip(ts, result.series[effect]):
-                components[f"{effect}(t={t:g})"] = float(v)
+                components[hr_estimand(effect, t)] = float(v)
 
     lines = ["scenario,estimand,quad_value,mc_mean,mc_sd,mc_se,pi_lower,pi_upper,"
              "abs_diff,rel_diff,z_score,inside_interval,mc_seconds_per_rep"]

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -237,18 +237,22 @@ def rule_for(dist: Dist, level: int,
 
 def dist_to_json(dist: Dist) -> dict:
     """Tagged-object form used in scenario config files."""
-    if isinstance(dist, Normal):
-        return {"type": "normal", "mu": dist.mu, "sigma2": dist.sigma2}
-    if isinstance(dist, Uniform):
-        return {"type": "uniform", "a": dist.a, "b": dist.b}
-    if isinstance(dist, Exponential):
-        return {"type": "exponential", "rate": dist.rate}
-    if isinstance(dist, Gamma):
-        return {"type": "gamma", "shape": dist.shape, "rate": dist.rate}
     if isinstance(dist, MVNormal):
         return {"type": "mvnormal", "mean": dist.cov.mean.tolist(),
                 "cov": dist.cov.covariance.tolist()}
-    raise ValidationError(f"unsupported distribution {dist!r}")
+    return {"type": dist.family, **asdict(dist)}
+
+
+def _check_keys(obj, allowed: set[str], required: set[str], path: str) -> None:
+    """Reject a non-object, an unexpected key or a missing one, naming its path."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected an object")
+    extra = set(obj) - allowed
+    if extra:
+        raise ValidationError(f"{path}.{sorted(extra)[0]}: unexpected field")
+    missing = required - set(obj)
+    if missing:
+        raise ValidationError(f"{path}.{sorted(missing)[0]}: missing field")
 
 
 def _json_number(value, path: str) -> float:
@@ -259,6 +263,21 @@ def _json_number(value, path: str) -> float:
     return float(value)
 
 
+def _integer(value, path: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{path}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
 def _json_list(value, path: str, item=_json_number) -> list:
     """A JSON list whose entries ``item`` parses, each checked under its own path."""
     if not isinstance(value, list):
@@ -266,37 +285,68 @@ def _json_list(value, path: str, item=_json_number) -> list:
     return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, re-raising its ValueError as a ValidationError under ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+#: How ``read_fields`` reads a value, by its field's annotation.
+_READERS = {
+    "float": _json_number,
+    "int": _integer,
+    "str": _string,
+    "tuple[float, ...]": lambda value, path: tuple(_json_list(value, path)),
+    "np.ndarray": lambda value, path: np.asarray(_json_list(value, path)),
+}
+
+
+def read_fields(cls, obj, path: str, default=None, names: dict[str, str] = {},
+                special: dict[str, Callable] = {}):
+    """The dataclass ``cls`` read from the JSON object ``obj``: its fields are the schema.
+
+    A field's key is its name, or ``names[name]``.  Its value is read by
+    ``special[name]``; if its default is a dataclass, as a nested object read
+    likewise, where null keeps the default; else by its annotation's reader.
+    Without ``default`` the fields with no default are required and the
+    result is ``cls(**values)``; with it none are, and the result is
+    ``replace(default, **values)``.
+    """
+    by_key = {names.get(f.name, f.name): f for f in fields(cls)}
+    required = set() if default is not None else {
+        key for key, f in by_key.items() if f.default is MISSING and f.default_factory is MISSING}
+    _check_keys(obj, set(by_key), required, path)
+    values = {}
+    for key, value in obj.items():
+        f, key_path = by_key[key], f"{path}.{key}"
+        if f.name in special:
+            values[f.name] = special[f.name](value, key_path)
+        elif is_dataclass(f.default):
+            if value is not None:
+                values[f.name] = read_fields(type(f.default), value, key_path, f.default, names, special)
+        else:
+            values[f.name] = _READERS[f.type](value, key_path)
+    if default is None:
+        return _built(path, cls, **values)
+    return _built(path, replace, default, **values)
+
+
+_FAMILIES = {cls.family: cls for cls in (Normal, Uniform, Exponential, Gamma, MVNormal)}
+
+
 def dist_from_json(obj: dict, path: str = "distribution") -> Dist:
     """Parse a tagged distribution object, rejecting unknown fields."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError(f"{path}: expected an object with a 'type' tag")
-    kind = obj["type"]
-    schemas = {
-        "normal": {"mu", "sigma2"},
-        "uniform": {"a", "b"},
-        "exponential": {"rate"},
-        "gamma": {"shape", "rate"},
-        "mvnormal": {"mean", "cov"},
-    }
-    if kind not in schemas:
-        raise ValidationError(f"{path}.type: unknown distribution type {kind!r}")
-    extra = set(obj) - schemas[kind] - {"type"}
-    if extra:
-        raise ValidationError(f"{path}: unexpected field {sorted(extra)[0]!r}")
-    missing = schemas[kind] - set(obj)
-    if missing:
-        raise ValidationError(f"{path}: missing field {sorted(missing)[0]!r}")
-
-    def num(key: str) -> float:
-        return _json_number(obj[key], f"{path}.{key}")
-
-    if kind == "normal":
-        return Normal(num("mu"), num("sigma2"))
-    if kind == "uniform":
-        return Uniform(num("a"), num("b"))
-    if kind == "exponential":
-        return Exponential(num("rate"))
-    if kind == "gamma":
-        return Gamma(num("shape"), num("rate"))
-    return MVNormal.of(_json_list(obj["mean"], f"{path}.mean"),
-                       _json_list(obj["cov"], f"{path}.cov", _json_list))
+    family = obj["type"]
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ValidationError(f"{path}.type: unknown distribution type {family!r}")
+    body = {key: value for key, value in obj.items() if key != "type"}
+    if cls is not MVNormal:
+        return read_fields(cls, body, path)
+    _check_keys(body, {"mean", "cov"}, {"mean", "cov"}, path)
+    return _built(path, MVNormal.of, _json_list(body["mean"], f"{path}.mean"),
+                  _json_list(body["cov"], f"{path}.cov", _json_list))

@@ -77,9 +77,6 @@ class MCSummary:
     se_of_mean: float
     interval: tuple[float, float]
     seconds_per_rep: float
-    n_samples: int
-    n_reps: int
-    seed_base: int
     within_rep_se: np.ndarray | None = None
     rep_seconds: np.ndarray | None = None
     draw_seconds: np.ndarray | None = None  # the part of rep_seconds spent drawing
@@ -89,7 +86,7 @@ class MCSummary:
 
 
 def _summarize(estimand: str, estimates: np.ndarray, seconds: np.ndarray, draw_seconds: np.ndarray,
-               cfg: MCConfig, within: np.ndarray | None = None) -> MCSummary:
+               within: np.ndarray | None = None) -> MCSummary:
     estimates = np.asarray(estimates, dtype=float)
     seconds = np.asarray(seconds, dtype=float)
     mean = float(estimates.mean())
@@ -103,9 +100,6 @@ def _summarize(estimand: str, estimates: np.ndarray, seconds: np.ndarray, draw_s
         se_of_mean=sd / np.sqrt(estimates.size) if estimates.size > 1 else 0.0,
         interval=(float(lo), float(hi)),
         seconds_per_rep=float(seconds.mean()),
-        n_samples=cfg.n_samples,
-        n_reps=cfg.n_reps,
-        seed_base=cfg.seed_base,
         within_rep_se=within,
         rep_seconds=seconds,
         draw_seconds=draw_seconds,
@@ -241,7 +235,7 @@ def mc_confounding(scenario: ConfoundingScenario, cfg: MCConfig, jobs: int = 1,
         return out
 
     cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
-    return {k: _summarize(k, cols[k], seconds, draw_seconds, cfg, within=cols.get(f"{k}_se"))
+    return {k: _summarize(k, cols[k], seconds, draw_seconds, within=cols.get(f"{k}_se"))
             for k in ("p0", "p1", "odds_ratio")}
 
 
@@ -304,7 +298,7 @@ def mc_cde(scenario: CDEScenario, cfg: MCConfig, jobs: int = 1) -> dict[str, MCS
         return out
 
     cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
-    return {k: _summarize(k, v, seconds, draw_seconds, cfg) for k, v in cols.items()}
+    return {k: _summarize(k, v, seconds, draw_seconds) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +331,17 @@ def mc_rmst_mediation(scenario: RMSTScenario, cfg: MCConfig, jobs: int = 1) -> d
                 "TE": mu11 - mu00, "NDE": mu10 - mu00, "NIE": mu11 - mu10}
 
     cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
-    return {k: _summarize(k, v, seconds, draw_seconds, cfg) for k, v in cols.items()}
+    return {k: _summarize(k, v, seconds, draw_seconds) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
 # HR scenario
 # ---------------------------------------------------------------------------
+
+def hr_estimand(effect: str, t: float) -> str:
+    """The estimand name of an HR effect at time t, in MC summaries and compare rows."""
+    return f"{effect}(t={t:g})"
+
 
 def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig, t_values: Sequence[float] | None = None,
                     jobs: int = 1) -> dict[tuple[str, float], MCSummary]:
@@ -381,7 +380,7 @@ def mc_hr_mediation(scenario: HRScenario, cfg: MCConfig, t_values: Sequence[floa
         return out
 
     cols, seconds, draw_seconds = _run_reps(draw, evaluate, cfg, jobs)
-    return {k: _summarize(f"{k[0]}(t={k[1]:g})", v, seconds, draw_seconds, cfg) for k, v in cols.items()}
+    return {k: _summarize(hr_estimand(*k), v, seconds, draw_seconds) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,11 @@ class RuleKind:
             return 2.0
         if self.family == LAGUERRE:
             return 1.0
-        return math.gamma(self.alpha + 1.0)
+        try:
+            return math.gamma(self.alpha + 1.0)
+        except OverflowError:  # alpha above about 170.6
+            raise NumericDomainError(
+                f"genlaguerre kernel mass Gamma(alpha + 1) overflows for alpha = {self.alpha}") from None
 
 
 def hermite_kind() -> RuleKind:

@@ -41,7 +41,6 @@ class TruthResult:
     results are ``mc.MCSummary`` records, one per estimand.
     """
 
-    estimand: str
     value: Mapping[str, float]
     method: str
     level: int | None = None
@@ -141,7 +140,7 @@ def odds_ratio_truth(scenario: ConfoundingScenario, level: int,
     p0 = marginal_prob(scenario, 0, level, decomposition)
     p1 = marginal_prob(scenario, 1, level, decomposition)
     value = {"p0": p0, "p1": p1, "odds_ratio": _odds_ratio(p1, p0)}
-    return TruthResult(estimand="odds_ratio", value=value, method="quadrature",
+    return TruthResult(value=value, method="quadrature",
                        level=level, decomposition=Decomposition(decomposition).value)
 
 
@@ -250,7 +249,7 @@ def cde_truth(scenario: CDEScenario, level: int) -> TruthResult:
     mean_a = cde_arm_mean(scenario, scenario.a, level)
     mean_a_star = cde_arm_mean(scenario, scenario.a_star, level)
     value = {"mean_a": mean_a, "mean_a_star": mean_a_star, "cde": mean_a - mean_a_star}
-    return TruthResult(estimand="cde", value=value, method="quadrature",
+    return TruthResult(value=value, method="quadrature",
                        level=level, decomposition=Decomposition.SPECTRAL.value)
 
 
@@ -334,7 +333,7 @@ def rmst_mediation_truth(scenario: RMSTScenario, level: int) -> TruthResult:
         "mu11": mu11, "mu00": mu00, "mu10": mu10,
         "TE": mu11 - mu00, "NDE": mu10 - mu00, "NIE": mu11 - mu10,
     }
-    return TruthResult(estimand="rmst_mediation", value=value, method="quadrature", level=level)
+    return TruthResult(value=value, method="quadrature", level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -472,5 +471,4 @@ def hr_mediation_truth(scenario: HRScenario, level: int) -> TruthResult:
         "TE_avg": time_average(te),
     }
     series = {"t": t_grid, "NDE": nde, "NIE": nie, "TE": te}
-    return TruthResult(estimand="hr_mediation", value=value, method="quadrature",
-                       level=level, series=series)
+    return TruthResult(value=value, method="quadrature", level=level, series=series)

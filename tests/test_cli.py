@@ -69,6 +69,12 @@ class TestRuleCommand:
         assert result.exit_code == 2
         assert "alpha must exceed -1" in result.output
 
+    def test_kernel_mass_overflow_exits_3(self):
+        result = run("rule", "--kind", "genlaguerre", "--alpha", "200", "--k", "5")
+        assert result.exit_code == 3
+        assert "alpha = 200.0" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_writes_file_atomically(self, tmp_path):
         out = tmp_path / "rule.csv"
         result = run("rule", "--kind", "legendre", "--k", "3", "--out", str(out))
@@ -197,6 +203,14 @@ class TestNumericDomainExit:
         assert result.exit_code == 3
         assert "integrand returned nan at node index" in result.output
 
+    def test_gamma_kernel_mass_overflow_exits_3(self, tmp_path):
+        obj = json.loads((CONFIG_DIR / "confounding_gamma.json").read_text())
+        obj["scenario"]["confounders"][0]["shape"] = 500.0
+        result = run("truth", "--config", write_config(tmp_path, obj))
+        assert result.exit_code == 3
+        assert "alpha = 499.0" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_survival_underflow_exits_3(self, tmp_path):
         result = run("truth", "--config", self.hr_config(tmp_path, t_grid=[1, 10000]))
         assert result.exit_code == 3
@@ -224,9 +238,10 @@ class TestConfigValidation:
         ({"kind": "rmst", "tau": 10**400}, {}, "config.scenario.tau"),
         ({"kind": "hr", "t_grid": {"start": 0.5, "stop": 2.0, "num": 0}}, {},
          "config.scenario.t_grid.num"),
+        ({"kind": ["rmst"]}, {}, "config.scenario.kind"),
     ], ids=["unknown-field", "beta-not-a-list", "beta-null-entry", "level-null", "level-float",
             "level-bool", "n_samples-string", "hr_t_subset-zero", "beta0-nan", "beta2-inf",
-            "mu-string", "tau-overflow", "t_grid-num-zero"])
+            "mu-string", "tau-overflow", "t_grid-num-zero", "kind-list"])
     def test_unknown_field_reports_path(self, tmp_path, scenario, method, path):
         config = write_config(tmp_path, {
             "schema_version": 1,
@@ -237,6 +252,57 @@ class TestConfigValidation:
         result = run("compare" if method else "truth", "--config", config)
         assert result.exit_code == 2, result.output
         assert path in result.output
+
+    @pytest.mark.parametrize("name,edit,path", [
+        ("cde_identity", {"link": 5}, "config.scenario.link"),
+        ("cde_identity", {"a_star": 1}, "config.scenario"),
+        ("confounding_normal", {"confounders": []}, "config.scenario"),
+        ("confounding_normal", {"beta2": [1.0, 2.0]}, "config.scenario"),
+        ("confounding_bivariate_normal",
+         {"confounders": {"type": "mvnormal", "mean": [0.0, 0.0], "cov": [[1.0, 2.0], [2.0, 1.0]]}},
+         "config.scenario.confounders"),
+        ("confounding_bivariate_normal",
+         {"confounders": {"type": "mvnormal", "mean": [0.0, 0.0], "cov": [[1.0], [0.0, 1.0]]}},
+         "config.scenario.confounders"),
+        ("confounding_normal", {"confounders": [{"type": "normal", "mu": 0.0, "sigma2": 0}]},
+         "config.scenario.confounders[0]"),
+        ("confounding_normal", {"confounders": [{"type": ["normal"], "mu": 0.0, "sigma2": 1.0}]},
+         "config.scenario.confounders[0].type"),
+        ("hr_mediation", {"t_grid": [-1, 2]}, "config.scenario"),
+        ("rmst_mediation", {"tau": 0}, "config.scenario"),
+        ("cde_identity", {"u": {"sigma2": 0.0}}, "config.scenario.u"),
+        ("cde_identity", {"c": {"mu": 0.0, "kind": "normal"}}, "config.scenario.c.kind"),
+        ("cde_identity", {"u": {"kind": "normal"}}, "config.scenario.u.kind"),
+        ("cde_identity", {"l": {"kind": "l"}}, "config.scenario.l.kind"),
+        ("hr_mediation", {"t_grid": {"start": 0.1, "stop": 5.0, "num": 5, "kind": "t"}},
+         "config.scenario.t_grid.kind"),
+    ], ids=["link-int", "a-equals-a_star", "no-confounders", "beta2-length", "cov-not-pd",
+            "cov-ragged", "sigma2-zero", "type-list", "t_grid-negative", "tau-zero", "u-sigma2-zero",
+            "c-kind", "u-kind", "l-kind", "t_grid-kind"])
+    def test_rejected_value_names_its_block(self, tmp_path, name, edit, path):
+        obj = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        obj["scenario"].update(edit)
+        result = run("truth", "--config", write_config(tmp_path, obj))
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: " in result.output
+
+    @pytest.mark.parametrize("config_id", ["a,b\nc", "a,b", None, "", 'say "hi"', "a\rb", "a\nb", 7,
+                                           ["id"]],
+                             ids=["comma-newline", "comma", "null", "empty", "quote", "cr", "lf", "int",
+                                  "list"])
+    def test_id_must_be_one_plain_csv_cell(self, tmp_path, config_id):
+        obj = json.loads((CONFIG_DIR / "rmst_mediation.json").read_text())
+        obj["id"] = config_id
+        result = run("truth", "--config", write_config(tmp_path, obj))
+        assert result.exit_code == 2, result.output
+        assert "error: config.id: " in result.output
+
+    def test_cde_beta_defaults_like_every_other_field(self):
+        from truthquad import CDEScenario
+        from truthquad.config import parse_config
+
+        obj = {"schema_version": 1, "id": "cde", "scenario": {"kind": "cde"}}
+        assert parse_config(obj).scenario == CDEScenario()
 
     def test_unknown_scenario_kind(self, tmp_path):
         config = write_config(tmp_path, {

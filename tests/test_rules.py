@@ -12,6 +12,7 @@ from truthquad import (
     Gamma,
     NonFiniteEvaluationError,
     Normal,
+    NumericDomainError,
     Uniform,
     ValidationError,
     compute_rule,
@@ -147,6 +148,15 @@ class TestComputeRule:
         rule = compute_rule(hermite_kind(), 4)
         with pytest.raises(ValueError):
             rule.nodes[0] = 99.0
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5, 100.0, 170.5])
+    def test_genlaguerre_kernel_mass_is_gamma(self, alpha):
+        assert genlaguerre_kind(alpha).kernel_mass == math.gamma(alpha + 1.0)
+
+    @pytest.mark.parametrize("alpha", [171.0, 200.0, 499.0])
+    def test_genlaguerre_kernel_mass_overflow_names_alpha(self, alpha):
+        with pytest.raises(NumericDomainError, match=f"alpha = {alpha}"):
+            compute_rule(genlaguerre_kind(alpha), 5)
 
 
 class TestExplicitWeightFormulas:
