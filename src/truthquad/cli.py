@@ -228,7 +228,8 @@ def truth(config_path, out_json, out_csv):
 # ---------------------------------------------------------------------------
 
 def _hr_t_subset(t_grid: np.ndarray, count: int) -> np.ndarray:
-    idx = np.unique(np.round(np.linspace(0, t_grid.size - 1, min(count, t_grid.size))).astype(int))
+    # at most t_grid.size points over the indices lie at least 1 apart, so they round to distinct indices
+    idx = np.round(np.linspace(0, t_grid.size - 1, min(count, t_grid.size))).astype(int)
     return t_grid[idx]
 
 

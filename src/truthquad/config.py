@@ -36,6 +36,14 @@ from .scenarios import (
 
 SCHEMA_VERSION = 1
 
+#: Budgets on the sizes a config may ask for, checked as it is read and so
+#: before any array of that size is built: HR time points (a list or a
+#: linspace ``num``), Monte Carlo draws per repetition, and repetitions.
+MAX_T_POINTS = 10_000
+MAX_N_SAMPLES = 10_000_000
+MAX_N_REPS = 10_000
+_METHOD_MAXIMA = {"n_samples": MAX_N_SAMPLES, "n_reps": MAX_N_REPS}
+
 
 @dataclass(frozen=True)
 class MethodSpec:
@@ -80,7 +88,9 @@ def _t_grid(value, path: str):
         _check_keys(value, {"start", "stop", "num"}, {"start", "stop", "num"}, path)
         return np.linspace(_json_number(value["start"], f"{path}.start"),
                            _json_number(value["stop"], f"{path}.stop"),
-                           _integer(value["num"], f"{path}.num", minimum=1))
+                           _integer(value["num"], f"{path}.num", minimum=1, maximum=MAX_T_POINTS))
+    if isinstance(value, list) and len(value) > MAX_T_POINTS:
+        raise ValidationError(f"{path}: at most {MAX_T_POINTS} time points, got {len(value)}")
     return np.asarray(_json_list(value, path))
 
 
@@ -117,7 +127,8 @@ def parse_config(obj: dict) -> ScenarioConfig:
             method[key] = _built(f"config.method.{key}", Decomposition, value)
         # a null Monte Carlo field counts as unset; the mc and compare commands report it
         elif value is not None or key in ("level", "hr_t_subset"):
-            method[key] = _integer(value, f"config.method.{key}", minimum=0 if key == "seed" else 1)
+            method[key] = _integer(value, f"config.method.{key}", minimum=0 if key == "seed" else 1,
+                                   maximum=_METHOD_MAXIMA.get(key))
     return ScenarioConfig(config_id, kind, scenario, MethodSpec(**method))
 
 

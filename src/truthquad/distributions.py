@@ -263,12 +263,14 @@ def _json_number(value, path: str) -> float:
     return float(value)
 
 
-def _integer(value, path: str, minimum: int | None = None) -> int:
-    """A JSON integer (not a bool) of at least ``minimum``."""
+def _integer(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """A JSON integer (not a bool) of at least ``minimum`` and at most ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{path}: must be <= {maximum}, got {value}")
     return value
 
 

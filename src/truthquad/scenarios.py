@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import MVNormal, Normal, rule_for
 from .errors import NumericDomainError, ValidationError
-from .grids import CovSpec, Decomposition, integrate_nd, product_grid, rotate_grid, tensor_grid
+from .grids import CovSpec, Decomposition, GridND, integrate_nd, product_grid, rotate_grid, tensor_grid
 from .rules import Rule1D, integrate_1d
 from .special import ClosedFormCase, expit
 
@@ -124,21 +124,26 @@ class ConfoundingScenario:
         return c
 
 
+def _confounder_grid(scenario: ConfoundingScenario, level: int, decomposition: Decomposition) -> GridND:
+    """The quadrature grid over the confounders: a product of per-confounder rules, or a rotated grid."""
+    if isinstance(scenario.confounders, MVNormal):
+        return rule_for(scenario.confounders, level, decomposition)
+    return product_grid([rule_for(d, level) for d in scenario.confounders])
+
+
 def marginal_prob(scenario: ConfoundingScenario, a: int, level: int,
                   decomposition: Decomposition = Decomposition.SPECTRAL) -> float:
     """Marginal potential-outcome probability P(Y(a) = 1) by quadrature."""
-    if isinstance(scenario.confounders, MVNormal):
-        grid = rule_for(scenario.confounders, level, decomposition)
-        return integrate_nd(grid, lambda pts: scenario.prob(a, pts))
-    grid = product_grid([rule_for(d, level) for d in scenario.confounders])
+    grid = _confounder_grid(scenario, level, decomposition)
     return integrate_nd(grid, lambda pts: scenario.prob(a, pts))
 
 
 def odds_ratio_truth(scenario: ConfoundingScenario, level: int,
                      decomposition: Decomposition = Decomposition.SPECTRAL) -> TruthResult:
-    """Marginal odds ratio (and both arm probabilities) by quadrature."""
-    p0 = marginal_prob(scenario, 0, level, decomposition)
-    p1 = marginal_prob(scenario, 1, level, decomposition)
+    """Marginal odds ratio (and both arm probabilities) by quadrature on one confounder grid."""
+    grid = _confounder_grid(scenario, level, decomposition)
+    p0 = integrate_nd(grid, lambda pts: scenario.prob(0, pts))
+    p1 = integrate_nd(grid, lambda pts: scenario.prob(1, pts))
     value = {"p0": p0, "p1": p1, "odds_ratio": _odds_ratio(p1, p0)}
     return TruthResult(value=value, method="quadrature",
                        level=level, decomposition=Decomposition(decomposition).value)
@@ -231,11 +236,10 @@ class CDEScenario:
         return CovSpec(mean, cov)
 
 
-def cde_arm_mean(scenario: CDEScenario, a: int, level: int) -> float:
-    """E[Y(a, m)]: 1-D rule over C times a spectral-rotated grid over (U, L) | a."""
+def cde_arm_mean(scenario: CDEScenario, a: int, c_rule: Rule1D, standard_ul: GridND) -> float:
+    """E[Y(a, m)]: ``c_rule`` over C times ``standard_ul``, ``tensor_grid(K, 2)``, rotated to (U, L) | a."""
     b0, b1, b2, b3, b4, b5 = scenario.beta
-    c_rule = rule_for(scenario.c_dist, level)
-    ul_grid = rotate_grid(tensor_grid(level, 2), scenario.joint_ul(a), Decomposition.SPECTRAL)
+    ul_grid = rotate_grid(standard_ul, scenario.joint_ul(a), Decomposition.SPECTRAL)
     u = ul_grid.points[:, 0]
     ell = ul_grid.points[:, 1]
     ul_part = b0 + b1 * a + b2 * scenario.m + b4 * ell + b5 * u
@@ -245,9 +249,11 @@ def cde_arm_mean(scenario: CDEScenario, a: int, level: int) -> float:
 
 
 def cde_truth(scenario: CDEScenario, level: int) -> TruthResult:
-    """Controlled direct effect by a K^3-point quadrature."""
-    mean_a = cde_arm_mean(scenario, scenario.a, level)
-    mean_a_star = cde_arm_mean(scenario, scenario.a_star, level)
+    """Controlled direct effect by a K^3-point quadrature; both arms share the C rule and the (U, L) grid."""
+    c_rule = rule_for(scenario.c_dist, level)
+    standard_ul = tensor_grid(level, 2)
+    mean_a = cde_arm_mean(scenario, scenario.a, c_rule, standard_ul)
+    mean_a_star = cde_arm_mean(scenario, scenario.a_star, c_rule, standard_ul)
     value = {"mean_a": mean_a, "mean_a_star": mean_a_star, "cde": mean_a - mean_a_star}
     return TruthResult(value=value, method="quadrature",
                        level=level, decomposition=Decomposition.SPECTRAL.value)
@@ -318,17 +324,18 @@ def rmst_from_log_rate(tau: float, log_rate, out: np.ndarray | None = None) -> f
         return rmst(tau, np.exp(log_rate), out=out)
 
 
-def rmst_arm_mean(scenario: RMSTScenario, a: int, a_star: int, level: int) -> float:
-    """Counterfactual RMST mean E_{M(a*)}[mu(tau; a, M(a*))] by Gauss-Hermite."""
-    rule = rule_for(Normal(scenario.mediator_mean(a_star), 1.0), level)
+def rmst_arm_mean(scenario: RMSTScenario, a: int, rule: Rule1D) -> float:
+    """Counterfactual RMST mean E_{M(a*)}[mu(tau; a, M(a*))], ``rule`` being the rule for M(a*)."""
     return integrate_1d(rule, lambda m: rmst_from_log_rate(scenario.tau, scenario.log_rate(a, m)))
 
 
 def rmst_mediation_truth(scenario: RMSTScenario, level: int) -> TruthResult:
     """TE / NDE / NIE on the RMST scale; TE = NDE + NIE by construction."""
-    mu11 = rmst_arm_mean(scenario, 1, 1, level)
-    mu00 = rmst_arm_mean(scenario, 0, 0, level)
-    mu10 = rmst_arm_mean(scenario, 1, 0, level)
+    rule1 = rule_for(Normal(scenario.mediator_mean(1), 1.0), level)  # M(1); mu00 and mu10 share M(0)'s
+    rule0 = rule_for(Normal(scenario.mediator_mean(0), 1.0), level)
+    mu11 = rmst_arm_mean(scenario, 1, rule1)
+    mu00 = rmst_arm_mean(scenario, 0, rule0)
+    mu10 = rmst_arm_mean(scenario, 1, rule0)
     value = {
         "mu11": mu11, "mu00": mu00, "mu10": mu10,
         "TE": mu11 - mu00, "NDE": mu10 - mu00, "NIE": mu11 - mu10,

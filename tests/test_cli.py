@@ -286,6 +286,41 @@ class TestConfigValidation:
         assert result.exit_code == 2, result.output
         assert f"error: {path}: " in result.output
 
+    @pytest.mark.parametrize("command,edit,path", [
+        ("truth", {"scenario": {"t_grid": {"start": 0.1, "stop": 5.0, "num": 2 * 10**6}}},
+         "config.scenario.t_grid.num"),
+        ("truth", {"scenario": {"t_grid": {"start": 0.1, "stop": 5.0, "num": 10**12}}},
+         "config.scenario.t_grid.num"),
+        ("truth", {"scenario": {"t_grid": [float(t) for t in range(1, 10_002)]}}, "config.scenario.t_grid"),
+        ("mc", {"method": {"n_samples": 10**7 + 1}}, "config.method.n_samples"),
+        ("compare", {"method": {"n_samples": 10**12}}, "config.method.n_samples"),
+        ("mc", {"method": {"n_reps": 10**4 + 1}}, "config.method.n_reps"),
+        ("compare", {"method": {"n_reps": 10**12}}, "config.method.n_reps"),
+    ], ids=["num-2e6", "num-1e12", "list-10001", "n_samples-over", "n_samples-1e12", "n_reps-over",
+            "n_reps-1e12"])
+    def test_over_budget_size_exits_2_before_any_work(self, tmp_path, monkeypatch, command, edit, path):
+        import truthquad.mc as mc_mod
+        from truthquad.config import MAX_T_POINTS
+
+        obj = json.loads((CONFIG_DIR / "hr_mediation.json").read_text())
+        for block, values in edit.items():
+            obj[block].update(values)
+        config = write_config(tmp_path, obj)
+        linspace = np.linspace
+
+        def small_linspace(start, stop, num=50, **kwargs):
+            assert num <= MAX_T_POINTS, f"linspace of {num} points built for an over-budget config"
+            return linspace(start, stop, num, **kwargs)
+
+        def no_reps(*args, **kwargs):
+            raise AssertionError("Monte Carlo repetitions started for an over-budget config")
+
+        monkeypatch.setattr(np, "linspace", small_linspace)
+        monkeypatch.setattr(mc_mod, "_run_reps", no_reps)
+        result = run(command, "--config", config)
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: " in result.output
+
     @pytest.mark.parametrize("config_id", ["a,b\nc", "a,b", None, "", 'say "hi"', "a\rb", "a\nb", 7,
                                            ["id"]],
                              ids=["comma-newline", "comma", "null", "empty", "quote", "cr", "lf", "int",
@@ -568,3 +603,28 @@ def test_cli_import_loads_no_thread_pool_logging_or_bench():
     result = python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_mc_and_compare_load_no_numpy_ma(tmp_path):
+    # np.percentile and np.unique import numpy.ma on first use, about 14 ms a command
+    obj = json.loads((CONFIG_DIR / "hr_mediation.json").read_text())
+    obj["method"].update(n_samples=200, n_reps=3)
+    config = write_config(tmp_path, obj)
+    code = ("import sys; from truthquad.cli import main\n"
+            "for command in ('mc', 'compare'):\n"
+            f"    main([command, '--config', {config!r}, '--out', {str(tmp_path / 'out.csv')!r}],"
+            " standalone_mode=False)\n"
+            "print('numpy.ma' in sys.modules)")
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 50, 51, 9_999, 10_000])
+def test_hr_t_subset_is_the_unique_rounded_linspace(size):
+    from truthquad.cli import _hr_t_subset
+
+    t_grid = np.linspace(0.1, 5.0, size)
+    for count in [*range(1, 60), size - 1, size, size + 1]:
+        idx = np.unique(np.round(np.linspace(0, size - 1, min(count, size))).astype(int))
+        assert np.array_equal(_hr_t_subset(t_grid, count), t_grid[idx])

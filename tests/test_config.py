@@ -2,18 +2,21 @@
 
 Any JSON value put at any field of a shipped config either parses or is
 rejected with a ValidationError that names its config path; no other
-exception escapes.  Examples are derandomized, so every run checks the same
-inputs.
+exception escapes.  A size field (HR's t-grid ``num``, ``n_samples``,
+``n_reps``) beyond its budget is rejected before any array of that size is
+built.  Examples are derandomized, so every run checks the same inputs.
 """
 import copy
 import json
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from truthquad import ValidationError
-from truthquad.config import parse_config
+from truthquad.config import MAX_N_REPS, MAX_N_SAMPLES, MAX_T_POINTS, parse_config
 
 CONFIGS = {path.stem: json.loads(path.read_text())
            for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json"))}
@@ -70,7 +73,49 @@ def test_any_value_parses_or_names_its_config_path(name, path, value):
         assert "config." in str(exc)
 
 
+BUDGETS = {"num": MAX_T_POINTS, "n_samples": MAX_N_SAMPLES, "n_reps": MAX_N_REPS}
+SIZE_CASES = [(name, path) for name, path in CASES if path[-1] in BUDGETS]
+
+
+_LINSPACE = np.linspace
+
+
+def _small_linspace(start, stop, num=50, **kwargs):
+    assert num <= MAX_T_POINTS, f"a linspace of {num} points was built"
+    return _LINSPACE(start, stop, num, **kwargs)
+
+
+@pytest.mark.parametrize("name,path", SIZE_CASES,
+                         ids=[f"{name}:{'.'.join(map(str, path))}" for name, path in SIZE_CASES])
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(value=st.integers(-10**12, 10**12))
+@example(value=0)
+@example(value=1)
+@example(value=MAX_T_POINTS)
+@example(value=MAX_T_POINTS + 1)
+@example(value=MAX_N_REPS + 1)
+@example(value=MAX_N_SAMPLES)
+@example(value=MAX_N_SAMPLES + 1)
+@example(value=10**12)
+def test_size_fields_are_bounded_before_allocating(name, path, value):
+    obj = copy.deepcopy(CONFIGS[name])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    within = 1 <= value <= BUDGETS[path[-1]]
+    with mock.patch.object(np, "linspace", _small_linspace):
+        try:
+            parse_config(obj)
+        except ValidationError as exc:
+            assert not within
+            assert str(exc).startswith(f"config.{'.'.join(path)}: ")
+        else:
+            assert within
+
+
 def test_every_block_kind_is_covered():
     keys = {path[-1] for _, path in CASES}
     assert {"confounders", "type", "mean", "cov", "t_grid", "num", "c", "l", "sigma2", "lambda",
-            "link", "beta", "a_star", "tau", "kind", "id", "level", "decomposition", "seed"} <= keys
+            "link", "beta", "a_star", "tau", "kind", "id", "level", "decomposition", "seed", "n_samples",
+            "n_reps"} <= keys

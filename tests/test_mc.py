@@ -35,7 +35,7 @@ from truthquad import (
 )
 from truthquad.distributions import blocks
 from truthquad.errors import NumericDomainError
-from truthquad.mc import BLOCK, _block_mean, _block_mean_se, _run_reps
+from truthquad.mc import BLOCK, _block_mean, _block_mean_se, _percentiles, _run_reps
 from truthquad.scenarios import _odds_ratio
 
 
@@ -569,6 +569,33 @@ class TestThreadMap:
         for jobs in (1, 2, 3):
             with pytest.raises(NumericDomainError, match="rep 1 failed"):
                 _run_reps(seed_of, evaluate, cfg, jobs)
+
+
+def _percentile_cases():
+    rng = np.random.default_rng(20240611)
+    for n in [*range(1, 120), 1000, 4096]:
+        for scale in (1e-5, 1.0, 1e5):
+            yield rng.normal(size=n) * scale
+    inf, nan = np.inf, np.nan
+    yield from ([0.3], [inf], [-inf], [nan], [2.0] * 7, np.repeat([1.0, 2.0, 3.0], 40),
+                rng.integers(0, 4, 200).astype(float), [0.0, -0.0, 0.0, -0.0], [-inf, inf], [inf] * 3,
+                [1.0, 2.0, inf], [-inf, 1.0, 2.0], [-inf] * 2 + [0.5] * 50 + [inf] * 2, [1.0, nan, 2.0],
+                [nan, inf, -inf], rng.normal(size=40).tolist() + [nan])
+
+
+class TestPercentiles:
+    def test_same_bits_as_numpy_percentile(self):
+        # n = 1, ties, signed zeros, +-inf (inf - inf lerps to NaN) and NaN included
+        with np.errstate(invalid="ignore"):
+            for x in _percentile_cases():
+                x = np.asarray(x, dtype=float)
+                expected = np.percentile(x, [2.5, 97.5])
+                assert _percentiles(x, [2.5, 97.5]).tobytes() == expected.tobytes(), x
+
+    def test_input_is_not_reordered(self):
+        x = np.array([3.0, 1.0, 2.0])
+        _percentiles(x, [2.5, 97.5])
+        assert x.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 """Tests for the four scenarios and their quadrature truth computations."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from truthquad import (
     weibull_survival,
 )
 
+from truthquad.config import load_config
 from truthquad.mc import BLOCK
 from truthquad.scenarios import rmst_from_log_rate
 
@@ -401,3 +403,117 @@ class TestQuadratureConvergence:
         ks = np.array([k for k, _ in usable], dtype=float)
         slope = np.polyfit(ks, np.log([e + 1e-18 for _, e in usable]), 1)[0]
         assert slope < -0.2
+
+
+# ---------------------------------------------------------------------------
+# Each truth call builds each distinct rule and grid once
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+SHIPPED = {path.stem: load_config(path) for path in sorted(CONFIG_DIR.glob("*.json"))}
+
+
+def _builds(scenario):
+    """Golub-Welsch builds per truth call.
+
+    One rule per independent confounder, or one for an MVNormal's grid; for
+    CDE the C rule and the standard (U, L) grid; for RMST one rule per
+    mediator arm.
+    """
+    if isinstance(scenario, ConfoundingScenario):
+        return 1 if isinstance(scenario.confounders, MVNormal) else len(scenario.confounders)
+    return 2
+
+
+#: (label, scenario, Golub-Welsch builds per truth call): every non-HR family, shipped and synthetic
+BUILDS = [
+    *((name, cfg.scenario, _builds(cfg.scenario)) for name, cfg in SHIPPED.items() if cfg.kind != "hr"),
+    ("one-normal", normal_scenario(), 1),
+    ("two-normal-alike", ConfoundingScenario(0.2, -0.4, np.array([0.3, -0.6]),
+                                             (Normal(0.0, 1.0), Normal(0.0, 1.0))), 2),
+    ("uniform-gamma", ConfoundingScenario(-0.5, 1.0, np.array([0.4, 0.2]),
+                                          (Uniform(-1.0, 2.0), Gamma(2.5, 1.5))), 2),
+    ("mvnormal-2", bivariate_scenario(), 1),
+    ("mvnormal-3", ConfoundingScenario(0.0, 1.0, np.array([0.2, -0.1, 0.3]),
+                                       MVNormal.of([1.0, 0.0, -1.0], np.eye(3) + 0.3)), 1),
+    ("cde-identity", CDEScenario(), 2),
+    ("cde-logit", CDEScenario(link="logit", beta=(-2.0, 0.5, 0.1, -0.1, 0.1, 0.2)), 2),
+    ("rmst", RMSTScenario(), 2),
+    ("rmst-equal-mediator-means", RMSTScenario(mu0=0.5, mu1=0.5), 2),
+]
+
+
+def _truth(scenario, level=20):
+    if isinstance(scenario, ConfoundingScenario):
+        return odds_ratio_truth(scenario, level)
+    if isinstance(scenario, CDEScenario):
+        return cde_truth(scenario, level)
+    return rmst_mediation_truth(scenario, level)
+
+
+@pytest.fixture
+def rule_builds(monkeypatch):
+    """A count of compute_rule calls, at both names that rules are built through."""
+    import truthquad.distributions
+    import truthquad.grids
+
+    calls = []
+    for module in (truthquad.distributions, truthquad.grids):
+        real = module.compute_rule
+        monkeypatch.setattr(module, "compute_rule",
+                            lambda kind, level, real=real: calls.append(kind) or real(kind, level))
+    return calls
+
+
+class TestRuleBuildsPerTruthCall:
+    @pytest.mark.parametrize("label,scenario,builds", BUILDS, ids=[b[0] for b in BUILDS])
+    def test_each_rule_is_built_once(self, rule_builds, label, scenario, builds):
+        _truth(scenario)
+        assert len(rule_builds) == builds
+
+    def test_marginal_prob_still_builds_its_own_grid(self, rule_builds):
+        marginal_prob(bivariate_scenario(), 1, 20)
+        marginal_prob(scenario_for_case(ClosedFormCase.GAMMA), 0, 20)
+        assert len(rule_builds) == 1 + 2
+
+
+CONFOUNDING = [(label, s) for label, s, _ in BUILDS if isinstance(s, ConfoundingScenario)]
+
+
+class TestSharedRulesGiveTheSameBits:
+    @pytest.mark.parametrize("decomposition", list(Decomposition))
+    @pytest.mark.parametrize("label,scenario", CONFOUNDING, ids=[c[0] for c in CONFOUNDING])
+    def test_odds_ratio_arms_are_marginal_prob(self, label, scenario, decomposition):
+        result = odds_ratio_truth(scenario, 20, decomposition)
+        assert result["p0"] == marginal_prob(scenario, 0, 20, decomposition)
+        assert result["p1"] == marginal_prob(scenario, 1, 20, decomposition)
+
+    @staticmethod
+    def cde_arm(scenario, a, level):
+        """E[Y(a, m)] from rules built for this arm alone."""
+        b0, b1, b2, b3, b4, b5 = scenario.beta
+        c_rule = rule_for(scenario.c_dist, level)
+        ul_grid = rule_for(MVNormal(scenario.joint_ul(a)), level)
+        u, ell = ul_grid.points[:, 0], ul_grid.points[:, 1]
+        ul_part = b0 + b1 * a + b2 * scenario.m + b4 * ell + b5 * u
+        inner = scenario.inverse_link(b3 * c_rule.nodes[:, None] + ul_part[None, :]) @ ul_grid.weights
+        return float(c_rule.weights @ inner)
+
+    @pytest.mark.parametrize("level", [5, 20])
+    @pytest.mark.parametrize("label,scenario",
+                             [(label, s) for label, s, _ in BUILDS if isinstance(s, CDEScenario)])
+    def test_cde_arms_match_per_arm_rules(self, label, scenario, level):
+        result = cde_truth(scenario, level)
+        assert result["mean_a"] == self.cde_arm(scenario, scenario.a, level)
+        assert result["mean_a_star"] == self.cde_arm(scenario, scenario.a_star, level)
+
+    @pytest.mark.parametrize("level", [5, 20])
+    @pytest.mark.parametrize("label,scenario",
+                             [(label, s) for label, s, _ in BUILDS if isinstance(s, RMSTScenario)])
+    def test_rmst_means_match_per_arm_rules(self, label, scenario, level):
+        def mean(a, a_star):
+            rule = rule_for(Normal(scenario.mediator_mean(a_star), 1.0), level)
+            return float(rule.weights @ rmst_from_log_rate(scenario.tau, scenario.log_rate(a, rule.nodes)))
+
+        result = rmst_mediation_truth(scenario, level)
+        assert (result["mu11"], result["mu00"], result["mu10"]) == (mean(1, 1), mean(0, 0), mean(1, 0))
