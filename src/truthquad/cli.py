@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -233,6 +234,14 @@ def _hr_t_subset(t_grid: np.ndarray, count: int) -> np.ndarray:
     return t_grid[idx]
 
 
+def _at_t_subset(config: ScenarioConfig) -> ScenarioConfig:
+    """An HR config cut to the ``hr_t_subset`` time points, the only ones mc and compare report."""
+    if config.kind != "hr":
+        return config
+    ts = _hr_t_subset(config.scenario.t_grid, config.method.hr_t_subset)
+    return replace(config, scenario=replace(config.scenario, t_grid=ts))
+
+
 def _mc_summaries(config: ScenarioConfig, method_name: str, cfg: MCConfig,
                   jobs: int) -> dict[str, MCSummary]:
     scenario = config.scenario
@@ -245,8 +254,7 @@ def _mc_summaries(config: ScenarioConfig, method_name: str, cfg: MCConfig,
         return mc_cde(scenario, cfg, jobs)
     if config.kind == "rmst":
         return mc_rmst_mediation(scenario, cfg, jobs)
-    ts = _hr_t_subset(scenario.t_grid, config.method.hr_t_subset)
-    per_t = mc_hr_mediation(scenario, cfg, t_values=ts, jobs=jobs)
+    per_t = mc_hr_mediation(scenario, cfg, jobs=jobs)
     return {summary.estimand: summary for summary in per_t.values()}
 
 
@@ -275,7 +283,7 @@ def _mc_csv(config: ScenarioConfig, method_name: str, summaries: dict[str, MCSum
 @_exit_codes
 def mc(config_path, method_name, seed, jobs, out):
     """Run a Monte Carlo baseline; one CSV row per repetition plus a summary row."""
-    config = load_config(config_path)
+    config = _at_t_subset(load_config(config_path))
     summaries = _mc_summaries(config, method_name, _resolve_mc(config, seed), jobs)
     _emit(_mc_csv(config, method_name, summaries), out)
 
@@ -307,7 +315,7 @@ def _resolve_mc(config: ScenarioConfig, seed_flag: int | None) -> MCConfig:
 @_exit_codes
 def compare(config_path, seed, jobs, out):
     """Quadrature truth versus MC integration, one CSV row per estimand."""
-    config = load_config(config_path)
+    config = _at_t_subset(load_config(config_path))
     cfg = _resolve_mc(config, seed)
     result = _compute_truth(config)
     summaries = _mc_summaries(config, "mc_integration", cfg, jobs)

@@ -26,6 +26,7 @@ from .distributions import (
 )
 from .errors import ValidationError
 from .grids import Decomposition
+from .rules import MAX_LEVEL
 from .scenarios import (
     CDEScenario,
     ConfoundingScenario,
@@ -39,10 +40,11 @@ SCHEMA_VERSION = 1
 #: Budgets on the sizes a config may ask for, checked as it is read and so
 #: before any array of that size is built: HR time points (a list or a
 #: linspace ``num``), Monte Carlo draws per repetition, and repetitions.
+#: The quadrature level is bounded by ``rules.MAX_LEVEL`` in the same pass.
 MAX_T_POINTS = 10_000
 MAX_N_SAMPLES = 10_000_000
 MAX_N_REPS = 10_000
-_METHOD_MAXIMA = {"n_samples": MAX_N_SAMPLES, "n_reps": MAX_N_REPS}
+_METHOD_MAXIMA = {"level": MAX_LEVEL, "n_samples": MAX_N_SAMPLES, "n_reps": MAX_N_REPS}
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,28 @@ def _check_budget(level: int, dim: int, point_budget: int) -> int:
 
 
 def _cartesian(nodes_per_dim: Sequence[np.ndarray], weights_per_dim: Sequence[np.ndarray]):
-    mesh = np.meshgrid(*nodes_per_dim, indexing="ij")
-    points = np.column_stack([m.ravel() for m in mesh])
+    """Points (C order, the last axis fastest) and product weights of the Cartesian product."""
+    sizes = [len(nodes) for nodes in nodes_per_dim]
+    total, dim = math.prod(sizes), len(sizes)
+    points = np.empty((total, dim))
+    outer = 1
+    for j, nodes in enumerate(nodes_per_dim):
+        # column j: each node repeated prod(sizes[j+1:]) times, that block tiled prod(sizes[:j]) times;
+        # reshaping the C-ordered array is always a view, so the write lands in ``points``
+        points.reshape(outer, sizes[j], total // (outer * sizes[j]), dim)[:, :, :, j] = nodes[:, None]
+        outer *= sizes[j]
     weights = reduce(np.multiply.outer, weights_per_dim).ravel()
     return points, weights
+
+
+def standard_grid(raw: Rule1D, dim: int) -> GridND:
+    """Standard-normal product grid of ``dim`` copies of the raw hermite rule ``raw``."""
+    if raw.kind != hermite_kind() or raw.normalized:
+        raise ValidationError("standard_grid needs a raw hermite rule")
+    nodes = math.sqrt(2.0) * raw.nodes
+    weights = raw.weights / raw.kind.kernel_mass
+    points, w = _cartesian([nodes] * dim, [weights] * dim)
+    return GridND(dim=dim, level=raw.level, points=points, weights=w)
 
 
 def tensor_grid(level: int, dim: int, point_budget: int = DEFAULT_POINT_BUDGET) -> GridND:
@@ -113,11 +131,7 @@ def tensor_grid(level: int, dim: int, point_budget: int = DEFAULT_POINT_BUDGET) 
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
     _check_budget(level, dim, point_budget)
-    raw = compute_rule(hermite_kind(), level)
-    nodes = math.sqrt(2.0) * raw.nodes
-    weights = raw.weights / raw.kind.kernel_mass
-    points, w = _cartesian([nodes] * dim, [weights] * dim)
-    return GridND(dim=dim, level=level, points=points, weights=w)
+    return standard_grid(compute_rule(hermite_kind(), level), dim)
 
 
 def product_grid(rules: Sequence[Rule1D], point_budget: int = DEFAULT_POINT_BUDGET) -> GridND:

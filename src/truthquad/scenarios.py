@@ -24,10 +24,21 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .distributions import MVNormal, Normal, rule_for
+from .distributions import MVNormal, Normal, raw_rule, rule_for, rules_for
 from .errors import NumericDomainError, ValidationError
-from .grids import CovSpec, Decomposition, GridND, integrate_nd, product_grid, rotate_grid, tensor_grid
-from .rules import Rule1D, integrate_1d
+# rotate_grid and tensor_grid are not called here; perfbench/tracing.py wraps these names on this module
+from .grids import (
+    CovSpec,
+    Decomposition,
+    GridND,
+    _sqrt_factor,
+    integrate_nd,
+    product_grid,
+    rotate_grid,
+    standard_grid,
+    tensor_grid,
+)
+from .rules import Rule1D, integrate_1d, rescale_rule
 from .special import ClosedFormCase, expit
 
 Confounders = Union[tuple, MVNormal]
@@ -128,7 +139,7 @@ def _confounder_grid(scenario: ConfoundingScenario, level: int, decomposition: D
     """The quadrature grid over the confounders: a product of per-confounder rules, or a rotated grid."""
     if isinstance(scenario.confounders, MVNormal):
         return rule_for(scenario.confounders, level, decomposition)
-    return product_grid([rule_for(d, level) for d in scenario.confounders])
+    return product_grid(rules_for(scenario.confounders, level))
 
 
 def marginal_prob(scenario: ConfoundingScenario, a: int, level: int,
@@ -223,37 +234,54 @@ class CDEScenario:
         np.copyto(out, lin)
         return out
 
-    def joint_ul(self, a: int) -> CovSpec:
-        """Mean and covariance of (U, L) given treatment a."""
+    def ul_mean(self, a: int) -> np.ndarray:
+        """Mean of (U, L) given treatment a."""
         lm = self.l_model
         mu_u = self.u_dist.mu
+        return np.array([mu_u, lm.intercept + lm.a_coef * a + lm.u_coef * mu_u])
+
+    def joint_ul(self, a: int) -> CovSpec:
+        """Mean and covariance of (U, L) given treatment a; the covariance is the same for every a."""
+        lm = self.l_model
         s2_u = self.u_dist.sigma2
-        mean = np.array([mu_u, lm.intercept + lm.a_coef * a + lm.u_coef * mu_u])
         cov = np.array([
             [s2_u, lm.u_coef * s2_u],
             [lm.u_coef * s2_u, lm.u_coef**2 * s2_u + lm.sigma2],
         ])
-        return CovSpec(mean, cov)
+        return CovSpec(self.ul_mean(a), cov)
 
 
-def cde_arm_mean(scenario: CDEScenario, a: int, c_rule: Rule1D, standard_ul: GridND) -> float:
-    """E[Y(a, m)]: ``c_rule`` over C times ``standard_ul``, ``tensor_grid(K, 2)``, rotated to (U, L) | a."""
+def cde_arm_mean(scenario: CDEScenario, a: int, c_rule: Rule1D, ul_offsets: np.ndarray,
+                 ul_weights: np.ndarray) -> float:
+    """E[Y(a, m)]: ``c_rule`` over C times the (U, L) | a grid, whose points are a's mean plus ``ul_offsets``.
+
+    ``ul_offsets`` are the standard 2-D grid's points times the spectral square
+    root of the (U, L) covariance, as ``rotate_grid`` forms them.
+    """
     b0, b1, b2, b3, b4, b5 = scenario.beta
-    ul_grid = rotate_grid(standard_ul, scenario.joint_ul(a), Decomposition.SPECTRAL)
-    u = ul_grid.points[:, 0]
-    ell = ul_grid.points[:, 1]
+    points = scenario.ul_mean(a) + ul_offsets
+    u = points[:, 0]
+    ell = points[:, 1]
     ul_part = b0 + b1 * a + b2 * scenario.m + b4 * ell + b5 * u
     # (K, K^2) linear predictor; inner reduction over the (U, L) grid first
     return integrate_1d(c_rule, lambda c: scenario.inverse_link(b3 * c[:, None] + ul_part[None, :])
-                        @ ul_grid.weights)
+                        @ ul_weights)
 
 
 def cde_truth(scenario: CDEScenario, level: int) -> TruthResult:
-    """Controlled direct effect by a K^3-point quadrature; both arms share the C rule and the (U, L) grid."""
-    c_rule = rule_for(scenario.c_dist, level)
-    standard_ul = tensor_grid(level, 2)
-    mean_a = cde_arm_mean(scenario, scenario.a, c_rule, standard_ul)
-    mean_a_star = cde_arm_mean(scenario, scenario.a_star, c_rule, standard_ul)
+    """Controlled direct effect by a K^3-point quadrature.
+
+    One raw hermite rule gives both the C rule and the standard (U, L) grid,
+    and the arm-free (U, L) covariance is validated and factored once; each
+    arm adds only its own mean.
+    """
+    raw = raw_rule(scenario.c_dist, level)
+    c_rule = rescale_rule(raw, scenario.c_dist)
+    standard_ul = standard_grid(raw, 2)
+    factor = _sqrt_factor(scenario.joint_ul(scenario.a), Decomposition.SPECTRAL)
+    ul_offsets = standard_ul.points @ factor.T
+    mean_a = cde_arm_mean(scenario, scenario.a, c_rule, ul_offsets, standard_ul.weights)
+    mean_a_star = cde_arm_mean(scenario, scenario.a_star, c_rule, ul_offsets, standard_ul.weights)
     value = {"mean_a": mean_a, "mean_a_star": mean_a_star, "cde": mean_a - mean_a_star}
     return TruthResult(value=value, method="quadrature",
                        level=level, decomposition=Decomposition.SPECTRAL.value)
@@ -331,8 +359,8 @@ def rmst_arm_mean(scenario: RMSTScenario, a: int, rule: Rule1D) -> float:
 
 def rmst_mediation_truth(scenario: RMSTScenario, level: int) -> TruthResult:
     """TE / NDE / NIE on the RMST scale; TE = NDE + NIE by construction."""
-    rule1 = rule_for(Normal(scenario.mediator_mean(1), 1.0), level)  # M(1); mu00 and mu10 share M(0)'s
-    rule0 = rule_for(Normal(scenario.mediator_mean(0), 1.0), level)
+    # one raw hermite rule, rescaled to M(1) and M(0); mu00 and mu10 share M(0)'s
+    rule1, rule0 = rules_for([Normal(scenario.mediator_mean(a), 1.0) for a in (1, 0)], level)
     mu11 = rmst_arm_mean(scenario, 1, rule1)
     mu00 = rmst_arm_mean(scenario, 0, rule0)
     mu10 = rmst_arm_mean(scenario, 1, rule0)

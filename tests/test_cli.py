@@ -296,8 +296,11 @@ class TestConfigValidation:
         ("compare", {"method": {"n_samples": 10**12}}, "config.method.n_samples"),
         ("mc", {"method": {"n_reps": 10**4 + 1}}, "config.method.n_reps"),
         ("compare", {"method": {"n_reps": 10**12}}, "config.method.n_reps"),
+        ("truth", {"method": {"level": 65}}, "config.method.level"),
+        ("mc", {"method": {"level": 65}}, "config.method.level"),
+        ("compare", {"method": {"level": 65}}, "config.method.level"),
     ], ids=["num-2e6", "num-1e12", "list-10001", "n_samples-over", "n_samples-1e12", "n_reps-over",
-            "n_reps-1e12"])
+            "n_reps-1e12", "truth-level-65", "mc-level-65", "compare-level-65"])
     def test_over_budget_size_exits_2_before_any_work(self, tmp_path, monkeypatch, command, edit, path):
         import truthquad.mc as mc_mod
         from truthquad.config import MAX_T_POINTS
@@ -531,6 +534,23 @@ class TestCompareCommand:
         estimands = {l.split(",")[1] for l in lines[1:]}
         assert len(estimands) == 9  # 3 effects x 3 thinned time points
         assert "NDE(t=0.5)" in estimands
+
+    def test_hr_truth_only_at_the_compared_time_points(self, tmp_path, monkeypatch):
+        import truthquad.scenarios as scenarios
+        from truthquad.mc import hr_estimand
+
+        obj = json.loads((CONFIG_DIR / "hr_mediation.json").read_text())
+        obj["method"].update(n_samples=200, n_reps=3)
+        times = []
+        hazard = scenarios.counterfactual_hazard
+        monkeypatch.setattr(scenarios, "counterfactual_hazard",
+                            lambda scenario, a, a_prime, t, level: times.append(t)
+                            or hazard(scenario, a, a_prime, t, level))
+        result = run("compare", "--config", write_config(tmp_path, obj))
+        assert result.exit_code == 0, result.output
+        # 3 arm pairs at the 5 hr_t_subset points of the 50-point grid
+        assert len(times) == 15 and len(set(times)) == 5
+        assert {hr_estimand("NDE", t) for t in times} <= {l.split(",")[1] for l in result.output.splitlines()}
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
     def test_estimands_match_mc_command(self, tmp_path, name):

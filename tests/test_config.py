@@ -3,8 +3,8 @@
 Any JSON value put at any field of a shipped config either parses or is
 rejected with a ValidationError that names its config path; no other
 exception escapes.  A size field (HR's t-grid ``num``, ``n_samples``,
-``n_reps``) beyond its budget is rejected before any array of that size is
-built.  Examples are derandomized, so every run checks the same inputs.
+``n_reps``, ``level``) beyond its budget is rejected before any array of that
+size is built.  Examples are derandomized, so every run checks the same inputs.
 """
 import copy
 import json
@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from truthquad import ValidationError
 from truthquad.config import MAX_N_REPS, MAX_N_SAMPLES, MAX_T_POINTS, parse_config
+from truthquad.rules import MAX_LEVEL
 
 CONFIGS = {path.stem: json.loads(path.read_text())
            for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json"))}
@@ -73,7 +74,7 @@ def test_any_value_parses_or_names_its_config_path(name, path, value):
         assert "config." in str(exc)
 
 
-BUDGETS = {"num": MAX_T_POINTS, "n_samples": MAX_N_SAMPLES, "n_reps": MAX_N_REPS}
+BUDGETS = {"num": MAX_T_POINTS, "n_samples": MAX_N_SAMPLES, "n_reps": MAX_N_REPS, "level": MAX_LEVEL}
 SIZE_CASES = [(name, path) for name, path in CASES if path[-1] in BUDGETS]
 
 
@@ -91,6 +92,8 @@ def _small_linspace(start, stop, num=50, **kwargs):
 @given(value=st.integers(-10**12, 10**12))
 @example(value=0)
 @example(value=1)
+@example(value=MAX_LEVEL)
+@example(value=MAX_LEVEL + 1)
 @example(value=MAX_T_POINTS)
 @example(value=MAX_T_POINTS + 1)
 @example(value=MAX_N_REPS + 1)

@@ -53,6 +53,41 @@ class TestTensorGrid:
         with pytest.raises(ValidationError):
             tensor_grid(3, 0)
 
+    @pytest.mark.parametrize("rule", ["normalized", "legendre"])
+    def test_standard_grid_needs_a_raw_hermite_rule(self, rule):
+        from truthquad import compute_rule, hermite_kind, legendre_kind
+        from truthquad.grids import standard_grid
+
+        raw = {"normalized": compute_rule(hermite_kind(), 4).normalize(),
+               "legendre": compute_rule(legendre_kind(), 4)}[rule]
+        with pytest.raises(ValidationError, match="raw hermite"):
+            standard_grid(raw, 2)
+
+
+class TestCartesian:
+    @staticmethod
+    def meshgrid_form(nodes_per_dim, weights_per_dim):
+        """The Cartesian product as np.meshgrid and np.column_stack form it."""
+        from functools import reduce
+
+        mesh = np.meshgrid(*nodes_per_dim, indexing="ij")
+        points = np.column_stack([m.ravel() for m in mesh])
+        return points, reduce(np.multiply.outer, weights_per_dim).ravel()
+
+    @pytest.mark.parametrize("sizes", [(1,), (7,), (20, 20), (3, 1), (1, 4), (2, 3, 5), (5, 1, 2),
+                                       (1, 1, 1), (3, 3, 3, 3), (4, 1, 3, 2), (3, 3, 3, 3, 3),
+                                       (2, 1, 3, 1, 2), (2, 3, 1, 2, 2, 3), (1, 2, 1, 2, 1, 2)],
+                             ids=lambda sizes: "x".join(map(str, sizes)))
+    def test_same_bytes_as_meshgrid(self, sizes):
+        from truthquad.grids import _cartesian
+
+        rng = np.random.default_rng(len(sizes))
+        nodes = [rng.standard_normal(n) for n in sizes]
+        weights = [rng.random(n) for n in sizes]
+        for got, want in zip(_cartesian(nodes, weights), self.meshgrid_form(nodes, weights)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
 
 class TestProductGrid:
     def test_mixed_families(self):

@@ -414,15 +414,16 @@ SHIPPED = {path.stem: load_config(path) for path in sorted(CONFIG_DIR.glob("*.js
 
 
 def _builds(scenario):
-    """Golub-Welsch builds per truth call.
+    """Golub-Welsch builds per truth call: one per distinct raw rule.
 
-    One rule per independent confounder, or one for an MVNormal's grid; for
-    CDE the C rule and the standard (U, L) grid; for RMST one rule per
-    mediator arm.
+    Independent confounders share one build per family, and gamma ones one
+    per shape; an MVNormal's grid is one build.  The CDE's C rule and
+    standard (U, L) grid share one hermite rule, as do RMST's two mediator
+    arms.
     """
-    if isinstance(scenario, ConfoundingScenario):
-        return 1 if isinstance(scenario.confounders, MVNormal) else len(scenario.confounders)
-    return 2
+    if isinstance(scenario, ConfoundingScenario) and not isinstance(scenario.confounders, MVNormal):
+        return len({(d.family, getattr(d, "shape", None)) for d in scenario.confounders})
+    return 1
 
 
 #: (label, scenario, Golub-Welsch builds per truth call): every non-HR family, shipped and synthetic
@@ -430,17 +431,22 @@ BUILDS = [
     *((name, cfg.scenario, _builds(cfg.scenario)) for name, cfg in SHIPPED.items() if cfg.kind != "hr"),
     ("one-normal", normal_scenario(), 1),
     ("two-normal-alike", ConfoundingScenario(0.2, -0.4, np.array([0.3, -0.6]),
-                                             (Normal(0.0, 1.0), Normal(0.0, 1.0))), 2),
+                                             (Normal(0.0, 1.0), Normal(0.0, 1.0))), 1),
     ("uniform-gamma", ConfoundingScenario(-0.5, 1.0, np.array([0.4, 0.2]),
                                           (Uniform(-1.0, 2.0), Gamma(2.5, 1.5))), 2),
+    ("two-gamma-equal-shapes", ConfoundingScenario(0.3, -0.8, np.array([0.5, -0.2]),
+                                                   (Gamma(2.5, 1.5), Gamma(2.5, 0.4))), 1),
     ("mvnormal-2", bivariate_scenario(), 1),
     ("mvnormal-3", ConfoundingScenario(0.0, 1.0, np.array([0.2, -0.1, 0.3]),
                                        MVNormal.of([1.0, 0.0, -1.0], np.eye(3) + 0.3)), 1),
-    ("cde-identity", CDEScenario(), 2),
-    ("cde-logit", CDEScenario(link="logit", beta=(-2.0, 0.5, 0.1, -0.1, 0.1, 0.2)), 2),
-    ("rmst", RMSTScenario(), 2),
-    ("rmst-equal-mediator-means", RMSTScenario(mu0=0.5, mu1=0.5), 2),
+    ("cde-identity", CDEScenario(), 1),
+    ("cde-logit", CDEScenario(link="logit", beta=(-2.0, 0.5, 0.1, -0.1, 0.1, 0.2)), 1),
+    ("rmst", RMSTScenario(), 1),
+    ("rmst-equal-mediator-means", RMSTScenario(mu0=0.5, mu1=0.5), 1),
 ]
+
+
+CDES = [(label, s) for label, s, _ in BUILDS if isinstance(s, CDEScenario)]
 
 
 def _truth(scenario, level=20):
@@ -475,6 +481,17 @@ class TestRuleBuildsPerTruthCall:
         marginal_prob(bivariate_scenario(), 1, 20)
         marginal_prob(scenario_for_case(ClosedFormCase.GAMMA), 0, 20)
         assert len(rule_builds) == 1 + 2
+
+    @pytest.mark.parametrize("label,scenario", CDES, ids=[c[0] for c in CDES])
+    def test_cde_validates_and_factors_the_ul_covariance_once(self, monkeypatch, label, scenario):
+        from truthquad.grids import CovSpec
+
+        specs, factorisations = [], []
+        post_init, eigh = CovSpec.__post_init__, np.linalg.eigh
+        monkeypatch.setattr(CovSpec, "__post_init__", lambda self: specs.append(1) or post_init(self))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: factorisations.append(1) or eigh(a))
+        cde_truth(scenario, 20)
+        assert (len(specs), len(factorisations)) == (1, 1)
 
 
 CONFOUNDING = [(label, s) for label, s, _ in BUILDS if isinstance(s, ConfoundingScenario)]
