@@ -1,8 +1,9 @@
 """Convergence and runtime studies: bias vs quadrature points, runtime vs dimension.
 
 Timing uses the monotonic clock and reports the median of warm runs; rule and
-grid construction is included because that is the user-visible cost.  Timed
-sections run strictly sequentially.  Bias values are reported raw; the plateau
+grid construction is included because that is the user-visible cost, so the
+rule cache is cleared, outside the timer, before every run.  Timed sections
+run strictly sequentially.  Bias values are reported raw; the plateau
 near 1e-14..1e-16 is the machine-accuracy floor and is never clamped.
 """
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .distributions import MVNormal
 from .errors import ValidationError
 from .grids import DEFAULT_POINT_BUDGET, Decomposition
 from .mc import MCConfig, mc_odds_ratio
+from .rules import clear_rule_cache
 from .scenarios import ConfoundingScenario, marginal_prob, odds_ratio_truth, scenario_for_case
 from .special import ClosedFormCase, closed_form_odds_ratio
 
@@ -57,9 +59,11 @@ class SweepRow:
 
 
 def _median_seconds(fn, reps: int) -> float:
+    clear_rule_cache()
     fn()  # warm-up
     times = []
     for _ in range(max(1, reps)):
+        clear_rule_cache()
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)

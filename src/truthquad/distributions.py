@@ -18,7 +18,6 @@ from .errors import ValidationError
 from .grids import CovSpec, Decomposition, GridND, rotate_grid, tensor_grid
 from .rules import (
     Rule1D,
-    RuleKind,
     compute_rule,
     genlaguerre_kind,
     hermite_kind,
@@ -215,56 +214,25 @@ def sample(dist: Dist, n: int, seed: int):
     return dist.draw(np.random.default_rng(seed), n)
 
 
-def _rule_kind(dist: Dist) -> RuleKind:
-    """The raw rule's kernel for a univariate ``dist``.
-
-    normal -> hermite, uniform -> legendre, exponential -> laguerre,
-    gamma -> genlaguerre(shape - 1).
-    """
-    if isinstance(dist, Normal):
-        return hermite_kind()
-    if isinstance(dist, Uniform):
-        return legendre_kind()
-    if isinstance(dist, Exponential):
-        return laguerre_kind()
-    if isinstance(dist, Gamma):
-        return genlaguerre_kind(dist.shape - 1.0)
-    raise ValidationError(f"unsupported distribution {dist!r}")
-
-
 def rule_for(dist: Dist, level: int,
              decomposition: Decomposition = Decomposition.SPECTRAL) -> Rule1D | GridND:
     """Normalized quadrature rule (or rotated grid) matching ``dist``.
 
-    A univariate ``dist`` gets its family's raw rule (see ``_rule_kind``)
-    rescaled to it; mvnormal gets a hermite tensor grid rotated with the
-    requested decomposition (spectral by default).
+    normal -> hermite, uniform -> legendre, exponential -> laguerre,
+    gamma -> genlaguerre(shape - 1); mvnormal -> hermite tensor grid rotated
+    with the requested decomposition (spectral by default).
     """
+    if isinstance(dist, Normal):
+        return rescale_rule(compute_rule(hermite_kind(), level), dist)
+    if isinstance(dist, Uniform):
+        return rescale_rule(compute_rule(legendre_kind(), level), dist)
+    if isinstance(dist, Exponential):
+        return rescale_rule(compute_rule(laguerre_kind(), level), dist)
+    if isinstance(dist, Gamma):
+        return rescale_rule(compute_rule(genlaguerre_kind(dist.shape - 1.0), level), dist)
     if isinstance(dist, MVNormal):
         return rotate_grid(tensor_grid(level, dist.dim), dist.cov, decomposition)
-    return rescale_rule(compute_rule(_rule_kind(dist), level), dist)
-
-
-def raw_rule(dist: Dist, level: int) -> Rule1D:
-    """The raw rule that ``rule_for`` rescales to the univariate ``dist``."""
-    return compute_rule(_rule_kind(dist), level)
-
-
-def rules_for(dists, level: int) -> list[Rule1D]:
-    """``[rule_for(d, level) for d in dists]`` for univariate ``dists``, with one raw rule per distinct kind.
-
-    Distributions of one family (and, for gamma, one shape) share a single
-    Golub-Welsch build, rescaled to each; the rules have the bits that
-    ``rule_for`` gives.
-    """
-    raw: dict[RuleKind, Rule1D] = {}
-    rules = []
-    for dist in dists:
-        kind = _rule_kind(dist)
-        if kind not in raw:
-            raw[kind] = compute_rule(kind, level)
-        rules.append(rescale_rule(raw[kind], dist))
-    return rules
+    raise ValidationError(f"unsupported distribution {dist!r}")
 
 
 def dist_to_json(dist: Dist) -> dict:

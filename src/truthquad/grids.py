@@ -116,22 +116,16 @@ def _cartesian(nodes_per_dim: Sequence[np.ndarray], weights_per_dim: Sequence[np
     return points, weights
 
 
-def standard_grid(raw: Rule1D, dim: int) -> GridND:
-    """Standard-normal product grid of ``dim`` copies of the raw hermite rule ``raw``."""
-    if raw.kind != hermite_kind() or raw.normalized:
-        raise ValidationError("standard_grid needs a raw hermite rule")
-    nodes = math.sqrt(2.0) * raw.nodes
-    weights = raw.weights / raw.kind.kernel_mass
-    points, w = _cartesian([nodes] * dim, [weights] * dim)
-    return GridND(dim=dim, level=raw.level, points=points, weights=w)
-
-
 def tensor_grid(level: int, dim: int, point_budget: int = DEFAULT_POINT_BUDGET) -> GridND:
     """Standard-normal product grid: K^D points with product weights summing to one."""
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
     _check_budget(level, dim, point_budget)
-    return standard_grid(compute_rule(hermite_kind(), level), dim)
+    raw = compute_rule(hermite_kind(), level)
+    nodes = math.sqrt(2.0) * raw.nodes
+    weights = raw.weights / raw.kind.kernel_mass
+    points, w = _cartesian([nodes] * dim, [weights] * dim)
+    return GridND(dim=dim, level=level, points=points, weights=w)
 
 
 def product_grid(rules: Sequence[Rule1D], point_budget: int = DEFAULT_POINT_BUDGET) -> GridND:

@@ -32,6 +32,7 @@ RuntimeWarning.  A NaN or infinite value raises NonFiniteEvaluationError.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -124,8 +125,9 @@ class Rule1D:
         weights = np.asarray(self.weights, dtype=float)
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        # views of read-only arrays cannot be made writeable again, so no caller can alter a cached rule
+        object.__setattr__(self, "nodes", nodes.view())
+        object.__setattr__(self, "weights", weights.view())
 
     def normalize(self) -> "Rule1D":
         """Return the probability-convention rule (weights summing to one)."""
@@ -181,10 +183,12 @@ def _christoffel_weights(diag: np.ndarray, off: np.ndarray, nodes: np.ndarray,
 
 
 def compute_rule(kind: RuleKind, level: int) -> Rule1D:
-    """Build the K-point raw rule for ``kind`` (weights sum to the kernel mass).
+    """The K-point raw rule for ``kind`` (weights sum to the kernel mass).
 
     Exact for polynomials of degree <= 2K-1 against the kernel.  Deterministic:
-    identical inputs produce bit-identical nodes and weights.
+    identical inputs produce bit-identical nodes and weights.  The level is
+    checked on every call; the rule itself comes from a process-wide cache
+    keyed on (kind, level), so every caller shares one read-only ``Rule1D``.
     """
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
         raise ValidationError(f"level must be an integer, got {level!r}")
@@ -198,6 +202,19 @@ def compute_rule(kind: RuleKind, level: int) -> Rule1D:
             "machine-epsilon floor for smooth integrands",
             stacklevel=2,
         )
+    return _build_rule(kind, int(level))
+
+
+def clear_rule_cache() -> None:
+    """Empty the rule cache, so that the next ``compute_rule`` of each (kind, level) builds it."""
+    _build_rule.cache_clear()
+
+
+# 256 rules of at most MAX_LEVEL points hold under 1 MB.  A concurrent miss on
+# one key may build the rule twice; both builds have the same bits.
+@functools.lru_cache(maxsize=256)
+def _build_rule(kind: RuleKind, level: int) -> Rule1D:
+    """Golub-Welsch construction of the raw rule; ``compute_rule`` validates ``level`` first."""
     diag, off = _recurrence(kind, level)
     nodes = eigh_tridiagonal(diag, off)
     if kind.family in (HERMITE, LEGENDRE):
@@ -206,7 +223,7 @@ def compute_rule(kind: RuleKind, level: int) -> Rule1D:
     weights = _christoffel_weights(diag, off, nodes, kind.kernel_mass)
     if kind.family in (HERMITE, LEGENDRE):
         weights = 0.5 * (weights + weights[::-1])
-    return Rule1D(kind=kind, level=int(level), nodes=nodes, weights=weights, normalized=False)
+    return Rule1D(kind=kind, level=level, nodes=nodes, weights=weights, normalized=False)
 
 
 def rescale_rule(rule: Rule1D, dist) -> Rule1D:

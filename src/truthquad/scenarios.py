@@ -24,9 +24,9 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .distributions import MVNormal, Normal, raw_rule, rule_for, rules_for
+from .distributions import MVNormal, Normal, rule_for
 from .errors import NumericDomainError, ValidationError
-# rotate_grid and tensor_grid are not called here; perfbench/tracing.py wraps these names on this module
+# rotate_grid is not called here; perfbench/tracing.py wraps this name on this module
 from .grids import (
     CovSpec,
     Decomposition,
@@ -35,10 +35,9 @@ from .grids import (
     integrate_nd,
     product_grid,
     rotate_grid,
-    standard_grid,
     tensor_grid,
 )
-from .rules import Rule1D, integrate_1d, rescale_rule
+from .rules import Rule1D, integrate_1d
 from .special import ClosedFormCase, expit
 
 Confounders = Union[tuple, MVNormal]
@@ -139,7 +138,7 @@ def _confounder_grid(scenario: ConfoundingScenario, level: int, decomposition: D
     """The quadrature grid over the confounders: a product of per-confounder rules, or a rotated grid."""
     if isinstance(scenario.confounders, MVNormal):
         return rule_for(scenario.confounders, level, decomposition)
-    return product_grid(rules_for(scenario.confounders, level))
+    return product_grid([rule_for(d, level) for d in scenario.confounders])
 
 
 def marginal_prob(scenario: ConfoundingScenario, a: int, level: int,
@@ -271,13 +270,12 @@ def cde_arm_mean(scenario: CDEScenario, a: int, c_rule: Rule1D, ul_offsets: np.n
 def cde_truth(scenario: CDEScenario, level: int) -> TruthResult:
     """Controlled direct effect by a K^3-point quadrature.
 
-    One raw hermite rule gives both the C rule and the standard (U, L) grid,
-    and the arm-free (U, L) covariance is validated and factored once; each
-    arm adds only its own mean.
+    Both arms share the C rule and the standard (U, L) grid, and the arm-free
+    (U, L) covariance is validated and factored once; each arm adds only its
+    own mean.
     """
-    raw = raw_rule(scenario.c_dist, level)
-    c_rule = rescale_rule(raw, scenario.c_dist)
-    standard_ul = standard_grid(raw, 2)
+    c_rule = rule_for(scenario.c_dist, level)
+    standard_ul = tensor_grid(level, 2)
     factor = _sqrt_factor(scenario.joint_ul(scenario.a), Decomposition.SPECTRAL)
     ul_offsets = standard_ul.points @ factor.T
     mean_a = cde_arm_mean(scenario, scenario.a, c_rule, ul_offsets, standard_ul.weights)
@@ -359,8 +357,8 @@ def rmst_arm_mean(scenario: RMSTScenario, a: int, rule: Rule1D) -> float:
 
 def rmst_mediation_truth(scenario: RMSTScenario, level: int) -> TruthResult:
     """TE / NDE / NIE on the RMST scale; TE = NDE + NIE by construction."""
-    # one raw hermite rule, rescaled to M(1) and M(0); mu00 and mu10 share M(0)'s
-    rule1, rule0 = rules_for([Normal(scenario.mediator_mean(a), 1.0) for a in (1, 0)], level)
+    rule1 = rule_for(Normal(scenario.mediator_mean(1), 1.0), level)  # M(1); mu00 and mu10 share M(0)'s
+    rule0 = rule_for(Normal(scenario.mediator_mean(0), 1.0), level)
     mu11 = rmst_arm_mean(scenario, 1, rule1)
     mu00 = rmst_arm_mean(scenario, 0, rule0)
     mu10 = rmst_arm_mean(scenario, 1, rule0)

@@ -52,6 +52,27 @@ class TestConvergenceSweep:
             small_spec(dims=())
 
 
+    def test_each_timed_run_builds_its_rules(self, monkeypatch):
+        import truthquad.rules
+        from truthquad import odds_ratio_truth, scenario_for_case
+        from truthquad.bench import _median_seconds
+
+        builds = []
+        real = truthquad.rules.eigh_tridiagonal
+        monkeypatch.setattr(truthquad.rules, "eigh_tridiagonal",
+                            lambda diag, off: builds.append(len(diag)) or real(diag, off))
+        scenario = scenario_for_case(ClosedFormCase.EXPONENTIAL)  # both confounders take one laguerre rule
+        per_run = []
+
+        def run():
+            before = len(builds)
+            odds_ratio_truth(scenario, 10)
+            per_run.append(len(builds) - before)
+
+        _median_seconds(run, reps=4)
+        assert per_run == [1] * 5  # the warm-up and each of the 4 timed runs
+
+
 class TestDimensionSweep:
     def test_rows_per_dimension_and_method(self):
         rows = dimension_sweep(small_spec())

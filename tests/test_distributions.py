@@ -117,22 +117,6 @@ class TestRuleFor:
             b = integrate_1d(exp_rule, lambda x: x**degree)
             np.testing.assert_allclose(a, b, rtol=1e-11)
 
-    def test_rules_for_builds_one_raw_rule_per_kind(self, monkeypatch):
-        import truthquad.distributions as distributions
-
-        dists = [Normal(0.3, 2.0), Gamma(2.0, 0.8), Uniform(-1.0, 3.0), Normal(-1.0, 0.5),
-                 Gamma(2.0, 3.0), Exponential(1.5), Gamma(3.5, 0.8), Uniform(0.0, 1.0)]
-        want = [rule_for(d, 9) for d in dists]
-        built = []
-        real = distributions.compute_rule
-        monkeypatch.setattr(distributions, "compute_rule",
-                            lambda kind, level: built.append(kind) or real(kind, level))
-        got = distributions.rules_for(dists, 9)
-        assert len(built) == len(set(built)) == 5
-        for g, w in zip(got, want, strict=True):
-            assert (g.kind, g.level, g.normalized) == (w.kind, w.level, w.normalized)
-            assert g.nodes.tobytes() == w.nodes.tobytes() and g.weights.tobytes() == w.weights.tobytes()
-
     def test_mvnormal_returns_rotated_grid(self):
         mv = MVNormal.of([-5.0, -10.0], [[1.0, 1.0], [1.0, 2.0]])
         grid = rule_for(mv, 20)

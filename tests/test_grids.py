@@ -53,16 +53,6 @@ class TestTensorGrid:
         with pytest.raises(ValidationError):
             tensor_grid(3, 0)
 
-    @pytest.mark.parametrize("rule", ["normalized", "legendre"])
-    def test_standard_grid_needs_a_raw_hermite_rule(self, rule):
-        from truthquad import compute_rule, hermite_kind, legendre_kind
-        from truthquad.grids import standard_grid
-
-        raw = {"normalized": compute_rule(hermite_kind(), 4).normalize(),
-               "legendre": compute_rule(legendre_kind(), 4)}[rule]
-        with pytest.raises(ValidationError, match="raw hermite"):
-            standard_grid(raw, 2)
-
 
 class TestCartesian:
     @staticmethod

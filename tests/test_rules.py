@@ -1,9 +1,13 @@
 """Tests for univariate rule construction, rescaling, and integration."""
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
 from scipy.special import eval_genlaguerre, eval_hermite
 
@@ -23,7 +27,7 @@ from truthquad import (
     legendre_kind,
     rescale_rule,
 )
-from truthquad.rules import _recurrence
+from truthquad.rules import MAX_LEVEL, _recurrence, clear_rule_cache
 from truthquad.special import expit
 
 import oracles
@@ -129,8 +133,9 @@ class TestComputeRule:
             genlaguerre_kind(-2.0)
 
     def test_warns_beyond_soft_cap(self):
-        with pytest.warns(UserWarning, match="machine-epsilon"):
-            compute_rule(hermite_kind(), 55)
+        for _ in range(3):  # on every call, not only the one that builds the rule
+            with pytest.warns(UserWarning, match="machine-epsilon"):
+                compute_rule(hermite_kind(), 55)
 
     @pytest.mark.parametrize("kind", [hermite_kind(), legendre_kind(), laguerre_kind(),
                                       genlaguerre_kind(-0.5), genlaguerre_kind(2.5)], ids=str)
@@ -145,9 +150,15 @@ class TestComputeRule:
                                    atol=8.0 * np.spacing(np.abs(expected).max()))
 
     def test_nodes_read_only(self):
-        rule = compute_rule(hermite_kind(), 4)
+        compute_rule(hermite_kind(), 4)
+        rule = compute_rule(hermite_kind(), 4)  # from the cache
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
         with pytest.raises(ValueError):
             rule.nodes[0] = 99.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 99.0
+        with pytest.raises(ValueError):
+            rule.nodes.setflags(write=True)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5, 100.0, 170.5])
     def test_genlaguerre_kernel_mass_is_gamma(self, alpha):
@@ -157,6 +168,70 @@ class TestComputeRule:
     def test_genlaguerre_kernel_mass_overflow_names_alpha(self, alpha):
         with pytest.raises(NumericDomainError, match=f"alpha = {alpha}"):
             compute_rule(genlaguerre_kind(alpha), 5)
+
+
+def _bits(rule):
+    return rule.kind, rule.level, rule.normalized, rule.nodes.tobytes(), rule.weights.tobytes()
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    @pytest.mark.parametrize("cached", [1, 20])
+    def test_level_is_validated_before_the_lookup(self, kind, cached):
+        rule = compute_rule(kind, cached)
+        assert compute_rule(kind, np.int64(cached)) is rule
+        # True == 1 and 20.0 == 20 hash to the cached keys
+        for level in (True, 20.0, 0, MAX_LEVEL + 1):
+            with pytest.raises(ValidationError):
+                compute_rule(kind, level)
+
+    @settings(derandomize=True, max_examples=8, deadline=None, database=None)
+    @given(kind=st.one_of(st.sampled_from([hermite_kind(), legendre_kind(), laguerre_kind()]),
+                          st.floats(-0.99, 10.0).map(genlaguerre_kind)))
+    @example(kind=hermite_kind())
+    @example(kind=legendre_kind())
+    @example(kind=laguerre_kind())
+    def test_cached_rule_is_a_fresh_build_and_exact(self, kind):
+        levels = range(1, MAX_LEVEL + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # levels past the soft cap
+            cached = [compute_rule(kind, level) for level in levels]
+            assert all(compute_rule(kind, level) is rule for level, rule in zip(levels, cached))
+            clear_rule_cache()
+            fresh = [compute_rule(kind, level) for level in levels]
+        for level, rule, built in zip(levels, cached, fresh):
+            assert rule is not built and _bits(rule) == _bits(built)
+            for j in range(2 * level):
+                estimate = float(rule.weights @ rule.nodes**j)
+                assert abs(estimate - kernel_moment(kind, j)) <= 1e-11 * kernel_abs_moment(kind, j), (level, j)
+
+    def test_threads_get_identical_rules(self):
+        keys = [(kind, level) for kind in ALL_KINDS for level in (1, 2, 5, 12, 20, 33, 50)]
+        want = [_bits(compute_rule(kind, level)) for kind, level in keys]
+        clear_rule_cache()
+        n_threads = (os.cpu_count() or 1) + 4  # more threads than cores
+        barrier = threading.Barrier(n_threads)
+        got = [[] for _ in range(n_threads)]
+
+        def work(i):
+            barrier.wait(timeout=30)
+            for rep in range(5):
+                if (i + rep) % 3 == 0:
+                    clear_rule_cache()  # so that threads miss, and build, concurrently
+                got[i].append([_bits(compute_rule(kind, level)) for kind, level in keys])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(reps == [want] * 5 for reps in got)
 
 
 class TestExplicitWeightFormulas:

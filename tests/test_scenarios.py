@@ -406,7 +406,7 @@ class TestQuadratureConvergence:
 
 
 # ---------------------------------------------------------------------------
-# Each truth call builds each distinct rule and grid once
+# The process-wide rule cache builds each (kind, level) once
 # ---------------------------------------------------------------------------
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -414,21 +414,21 @@ SHIPPED = {path.stem: load_config(path) for path in sorted(CONFIG_DIR.glob("*.js
 
 
 def _builds(scenario):
-    """Golub-Welsch builds per truth call: one per distinct raw rule.
+    """Golub-Welsch builds of a truth call that starts from an empty rule cache.
 
-    Independent confounders share one build per family, and gamma ones one
-    per shape; an MVNormal's grid is one build.  The CDE's C rule and
-    standard (U, L) grid share one hermite rule, as do RMST's two mediator
-    arms.
+    One per distinct (kind, level): independent confounders of one family
+    share a rule, gamma ones only at one shape; an MVNormal's grid is one
+    hermite rule.  The CDE's C rule and (U, L) grid share one hermite rule,
+    as do RMST's two mediator arms and every time point of HR.
     """
     if isinstance(scenario, ConfoundingScenario) and not isinstance(scenario.confounders, MVNormal):
         return len({(d.family, getattr(d, "shape", None)) for d in scenario.confounders})
     return 1
 
 
-#: (label, scenario, Golub-Welsch builds per truth call): every non-HR family, shipped and synthetic
+#: (label, scenario, Golub-Welsch builds per truth call): every family, shipped and synthetic
 BUILDS = [
-    *((name, cfg.scenario, _builds(cfg.scenario)) for name, cfg in SHIPPED.items() if cfg.kind != "hr"),
+    *((name, cfg.scenario, _builds(cfg.scenario)) for name, cfg in SHIPPED.items()),
     ("one-normal", normal_scenario(), 1),
     ("two-normal-alike", ConfoundingScenario(0.2, -0.4, np.array([0.3, -0.6]),
                                              (Normal(0.0, 1.0), Normal(0.0, 1.0))), 1),
@@ -443,6 +443,7 @@ BUILDS = [
     ("cde-logit", CDEScenario(link="logit", beta=(-2.0, 0.5, 0.1, -0.1, 0.1, 0.2)), 1),
     ("rmst", RMSTScenario(), 1),
     ("rmst-equal-mediator-means", RMSTScenario(mu0=0.5, mu1=0.5), 1),
+    ("hr", HRScenario(), 1),
 ]
 
 
@@ -454,33 +455,48 @@ def _truth(scenario, level=20):
         return odds_ratio_truth(scenario, level)
     if isinstance(scenario, CDEScenario):
         return cde_truth(scenario, level)
+    if isinstance(scenario, HRScenario):
+        return hr_mediation_truth(scenario, level)
     return rmst_mediation_truth(scenario, level)
 
 
 @pytest.fixture
 def rule_builds(monkeypatch):
-    """A count of compute_rule calls, at both names that rules are built through."""
-    import truthquad.distributions
-    import truthquad.grids
+    """The level of every Golub-Welsch build, recorded at ``truthquad.rules.eigh_tridiagonal``."""
+    import truthquad.rules
 
-    calls = []
-    for module in (truthquad.distributions, truthquad.grids):
-        real = module.compute_rule
-        monkeypatch.setattr(module, "compute_rule",
-                            lambda kind, level, real=real: calls.append(kind) or real(kind, level))
-    return calls
+    levels = []
+    real = truthquad.rules.eigh_tridiagonal
+    monkeypatch.setattr(truthquad.rules, "eigh_tridiagonal",
+                        lambda diag, off: levels.append(len(diag)) or real(diag, off))
+    return levels
 
 
-class TestRuleBuildsPerTruthCall:
+class TestRuleBuildsPerProcess:
     @pytest.mark.parametrize("label,scenario,builds", BUILDS, ids=[b[0] for b in BUILDS])
-    def test_each_rule_is_built_once(self, rule_builds, label, scenario, builds):
+    def test_each_distinct_rule_is_built_once(self, rule_builds, label, scenario, builds):
         _truth(scenario)
-        assert len(rule_builds) == builds
+        assert rule_builds == [20] * builds
 
-    def test_marginal_prob_still_builds_its_own_grid(self, rule_builds):
-        marginal_prob(bivariate_scenario(), 1, 20)
-        marginal_prob(scenario_for_case(ClosedFormCase.GAMMA), 0, 20)
-        assert len(rule_builds) == 1 + 2
+    @pytest.mark.parametrize("label,scenario,builds", BUILDS, ids=[b[0] for b in BUILDS])
+    def test_a_repeated_call_builds_nothing(self, rule_builds, label, scenario, builds):
+        first = _truth(scenario)
+        second = _truth(scenario)
+        assert second == first
+        assert rule_builds == [20] * builds
+        _truth(scenario, 7)  # another level is another key
+        assert rule_builds == [20] * builds + [7] * builds
+
+    def test_hr_truth_builds_one_rule_for_its_300_lookups(self, monkeypatch, rule_builds):
+        import truthquad.scenarios
+
+        lookups = []
+        real = truthquad.scenarios.rule_for
+        monkeypatch.setattr(truthquad.scenarios, "rule_for",
+                            lambda dist, level: lookups.append(level) or real(dist, level))
+        hr_mediation_truth(HRScenario(), 20)  # 3 arms x 50 time points x (density, survival)
+        assert len(lookups) == 300
+        assert rule_builds == [20]
 
     @pytest.mark.parametrize("label,scenario", CDES, ids=[c[0] for c in CDES])
     def test_cde_validates_and_factors_the_ul_covariance_once(self, monkeypatch, label, scenario):
